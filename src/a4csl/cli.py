@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Verbs: rot, csl, equal, enumerate, census, dirichlet, selftest.  Output is
-deterministic (byte-identical across repeated and multi-process runs); all
-numbers are printed exactly.  Exit codes: 0 success, 2 parse error,
+deterministic (byte-identical across repeated runs); all numbers are
+printed exactly.  Exit codes: 0 success, 2 parse error,
 3 domain precondition, 4 budget exceeded.
 """
 
@@ -13,11 +13,11 @@ import json
 import sys
 
 from .errors import BudgetError, DomainError, ParseError
-from .field import OInt, parse_knum, parse_oint
+from .field import parse_oint
 from .icosian import Icosian, to_icosian
 from .quaternion import parse_quat
 from . import counting
-from .counting import NodeBudget, census, census_csv, census_table, dirichlet_coeffs, f
+from .counting import NodeBudget, census, census_csv, census_table, dirichlet_coeffs, f, f_prime_power
 from .csl import (
     csl_Lq,
     csl_ideal_form,
@@ -126,7 +126,7 @@ def cmd_equal(args) -> int:
 
 def cmd_enumerate(args) -> int:
     budget = NodeBudget(args.budget)
-    reps = counting.enumerate_rotations(args.n, budget=budget, threads=args.threads)
+    reps = counting.enumerate_rotations(args.n, budget=budget)
     hnfs = sorted({csl_record(q).csl.hnf for q in reps})
     payload = {
         "schema": SCHEMA,
@@ -144,7 +144,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_census(args) -> int:
     budget = NodeBudget(args.budget)
-    rows, truncated = census_table(args.nmax, budget=budget, threads=args.threads)
+    rows, truncated = census_table(args.nmax, budget=budget)
     if args.output == "json":
         payload = {
             "schema": SCHEMA,
@@ -181,7 +181,6 @@ def cmd_dirichlet(args) -> int:
 
 
 def _selftest_checks():
-    from .field import unit_normalize
     from .lattice import SublatticeL, to_L_coords
 
     r = _parse_icosian("(t,2*t,0,0)", False)
@@ -190,10 +189,10 @@ def _selftest_checks():
     yield "dirichlet series through 11", lambda: dirichlet_coeffs(11) == [
         1, 5, 10, 20, 6, 50, 50, 80, 90, 30, 144,
     ]
-    yield "f(5^1) = 6", lambda: f_pp(5, 1) == 6
-    yield "f(2^2) = 20", lambda: f_pp(2, 2) == 20
-    yield "f(11^1) = 144", lambda: f_pp(11, 1) == 144
-    yield "f(3^2) = 90", lambda: f_pp(3, 2) == 90
+    yield "f(5^1) = 6", lambda: f_prime_power(5, 1) == 6
+    yield "f(2^2) = 20", lambda: f_prime_power(2, 2) == 20
+    yield "f(11^1) = 144", lambda: f_prime_power(11, 1) == 144
+    yield "f(3^2) = 90", lambda: f_prime_power(3, 2) == 90
     yield "f(6) = 50", lambda: f(6) == 50
     yield "f(10) = 30", lambda: f(10) == 30
     yield "example pair is primitive", lambda: r.is_primitive() and s.is_primitive()
@@ -226,10 +225,6 @@ def _selftest_checks():
         )
 
 
-def f_pp(p, r):
-    return counting.f_prime_power(p, r)
-
-
 def cmd_selftest(args) -> int:
     failures = 0
     for name, check in _selftest_checks():
@@ -248,7 +243,8 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="a4csl", description=__doc__)
     ap.add_argument("--output", choices=("json", "csv", "text"), default="text")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility; enumeration is serial")
     ap.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
                     help="maximum enumeration nodes")
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -289,6 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.threads < 1:
+        ap.error(f"argument --threads: must be at least 1, got {args.threads}")
+    if args.budget < 0:
+        ap.error(f"argument --budget: must be at least 0, got {args.budget}")
     try:
         return args.fn(args)
     except ParseError as exc:

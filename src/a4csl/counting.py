@@ -18,10 +18,8 @@ distinct CSL HNFs and checks them against f(n).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import BudgetError, DomainError
 from .field import (
@@ -41,12 +39,13 @@ from .icosian import (
     Icosian,
     NORM_A_GRAM,
     TRACE_GRAM,
+    _apply8,
     extension,
     unit_right_mul_matrices,
 )
 from .lattice import phi_plus_image
 from .csl import criterion_ideal
-from .shortvec import NodeBudget, enumerate_form, enumerate_two_forms, eval_form
+from .shortvec import NodeBudget, enumerate_two_forms
 
 DEFAULT_NMAX = 30
 DEFAULT_BUDGET = 200_000_000
@@ -198,16 +197,6 @@ def _neg(zc):
     return tuple(-v for v in zc)
 
 
-def _mat_apply(x, mat):
-    out = [0] * 8
-    for xi, row in zip(x, mat):
-        if xi:
-            for k in range(8):
-                if row[k]:
-                    out[k] += xi * row[k]
-    return tuple(out)
-
-
 def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
     """One coordinate vector per right-ideal class with nr exactly m."""
     vecs = icosians_with_norm(m, budget)
@@ -228,37 +217,18 @@ def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple
             continue
         reps.append(zc)
         for mat in mats:
-            o = _mat_apply(zc, mat)
+            o = _apply8(zc, mat)
             seen.add(o)
             seen.add(_neg(o))
     return reps
 
 
-def _class_reps_task(args) -> list[tuple[int, ...]]:
-    m_pair, limit = args
-    m = OInt(*m_pair)
-    budget = NodeBudget(limit) if limit is not None else None
-    return class_reps_for_norm(m, budget)
-
-
-def enumerate_rotations(
-    n: int, *, budget: NodeBudget | None = None, threads: int = 1
-) -> list[Icosian]:
+def enumerate_rotations(n: int, *, budget: NodeBudget | None = None) -> list[Icosian]:
     """One primitive admissible icosian per coincidence rotation class
     (right-ideal class) with coincidence index n."""
-    cands = norm_candidates(n)
     reps: list[Icosian] = []
-    if threads > 1 and len(cands) > 1:
-        limit = None
-        if budget is not None:
-            limit = (budget.limit - budget.used) // len(cands)
-        tasks = [((m.a, m.b), limit) for m in cands]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(_class_reps_task, tasks):
-                reps.extend(Icosian(zc) for zc in chunk)
-    else:
-        for m in cands:
-            reps.extend(Icosian(zc) for zc in class_reps_for_norm(m, budget))
+    for m in norm_candidates(n):
+        reps.extend(Icosian(zc) for zc in class_reps_for_norm(m, budget))
     return reps
 
 
@@ -280,7 +250,6 @@ def census(
     n: int,
     *,
     budget: NodeBudget | None = None,
-    threads: int = 1,
     strict: bool = True,
     details: dict | None = None,
 ) -> SigmaCensus:
@@ -289,7 +258,7 @@ def census(
     strict=True raises on a count mismatch (the counting theorem is exact);
     details, when given a dict, receives the representatives and HNFs.
     """
-    reps = enumerate_rotations(n, budget=budget, threads=threads)
+    reps = enumerate_rotations(n, budget=budget)
     hnfs = set()
     crit_keys = set()
     rep_info = []
@@ -320,7 +289,6 @@ def census_table(
     nmax: int,
     *,
     budget: NodeBudget | None = None,
-    threads: int = 1,
     strict: bool = True,
 ) -> tuple[list[SigmaCensus], bool]:
     """Censuses for n = 1..nmax.  Returns (rows, truncated); on budget
@@ -329,7 +297,7 @@ def census_table(
     truncated = False
     for n in range(1, nmax + 1):
         try:
-            rows.append(census(n, budget=budget, threads=threads, strict=strict))
+            rows.append(census(n, budget=budget, strict=strict))
         except BudgetError:
             truncated = True
             break

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError
-from .field import OInt, SQRT5, lcm_o, unit_normalize
+from .field import OInt, SQRT5, unit_normalize
 from .icosian import (
     Icosian,
     Rank8Module,

@@ -215,6 +215,9 @@ class KNum:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def is_integral(self) -> bool:
         return self.a.denominator == 1 and self.b.denominator == 1
 
@@ -245,6 +248,33 @@ def conj_k(x: KNum) -> KNum:
 def abs_norm(x: KNum) -> Fraction:
     """The absolute norm N(x) = |x x'| on K."""
     return x.norm()
+
+
+def gauss_jordan(rows, ncols: int):
+    """Bring rows (lists of Fraction or KNum) to reduced row echelon form in
+    their first ncols columns, in place; later columns (an identity block,
+    right-hand sides) ride along.  Returns the signed product of the pivots:
+    the determinant of a square matrix, 0 iff some column lacks a pivot.
+    """
+    det = 1
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        p = rows[r][col]
+        det = det * p
+        rows[r] = [v / p for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col]
+                rows[i] = [v - f * w for v, w in zip(row, rows[r])]
+        r += 1
+    return det
 
 
 def _ratio_ge_tau2(y: OInt) -> bool:

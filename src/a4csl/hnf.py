@@ -63,41 +63,16 @@ def hnf_square(rows, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def left_kernel(rows) -> list[list[int]]:
-    """Basis (in HNF) of {c : sum_i c_i * rows[i] = 0} over Z."""
+    """Basis (in HNF) of {c : sum_i c_i * rows[i] = 0} over Z.
+
+    The rows of hnf([rows[i] | e_i]) that vanish on the first n columns form
+    the HNF of the kernel in their last m columns.
+    """
     a = [list(r) for r in rows]
     m = len(a)
-    if m == 0:
-        return []
-    n = len(a[0])
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        while True:
-            nz = [i for i in range(r, m) if a[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][c]))
-            a[r], a[i0] = a[i0], a[r]
-            u[r], u[i0] = u[i0], u[r]
-            done = True
-            for i in range(r + 1, m):
-                if a[i][c]:
-                    q = a[i][c] // a[r][c]
-                    ai, ar, ui, ur = a[i], a[r], u[i], u[r]
-                    for j in range(c, n):
-                        ai[j] -= q * ar[j]
-                    for j in range(m):
-                        ui[j] -= q * ur[j]
-                    if ai[c]:
-                        done = False
-            if done:
-                break
-        if r < m and a[r][c]:
-            r += 1
-    kernel = [u[i] for i in range(r, m)]
-    return hnf(kernel)
+    n = len(a[0]) if a else 0
+    aug = [r + [int(i == j) for j in range(m)] for i, r in enumerate(a)]
+    return [row[n:] for row in hnf(aug) if not any(row[:n])]
 
 
 def intersect_rows(rows_a, rows_b) -> list[list[int]]:

@@ -29,8 +29,8 @@ from .errors import DomainError
 from .field import (
     KNum,
     OInt,
-    SQRT5,
     ZERO_O,
+    gauss_jordan,
     gcd_o,
     lcm_o,
     sqrt_o,
@@ -38,7 +38,7 @@ from .field import (
 )
 from .hnf import diagonal_product, hnf_square, contains as hnf_contains
 from .quaternion import Quat
-from .shortvec import NodeBudget, enumerate_form, eval_form, gram_of_basis
+from .shortvec import enumerate_form, gram_of_basis
 
 _H = Fraction(1, 2)
 
@@ -52,24 +52,14 @@ _TAU_K = KNum(Fraction(0), Fraction(1))
 ZBASIS_QUATS = BASIS + tuple(b.scale(_TAU_K) for b in BASIS)
 
 
-def _invert_kmat(mat):
-    n = len(mat)
-    aug = [list(row) + [KNum.of(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if not aug[r][col].is_zero())
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-# Columns of the membership system: component i of basis quaternion j.
-_MEMBER = [[BASIS[j].components()[i] for j in range(4)] for i in range(4)]
-_MINV = _invert_kmat(_MEMBER)
+# The membership system, augmented by the identity: component i of basis
+# quaternion j; Gauss-Jordan leaves its inverse in the right-hand block.
+_aug = [
+    [BASIS[j].components()[i] for j in range(4)] + [KNum.of(int(i == j)) for j in range(4)]
+    for i in range(4)
+]
+gauss_jordan(_aug, 4)
+_MINV = [row[4:] for row in _aug]
 
 
 def _o_coords_of_quat(q: Quat) -> tuple[KNum, KNum, KNum, KNum]:
@@ -440,12 +430,7 @@ def glcd(p: Icosian, beta: OInt) -> Icosian:
     gram = gram_of_basis(TRACE_GRAM, mod.rows)
     cands = []
     for coeffs, val in enumerate_form(gram, 2 * q8max, equal=False):
-        zc = [0] * 8
-        for ci, row in zip(coeffs, mod.rows):
-            if ci:
-                for k in range(8):
-                    zc[k] += ci * row[k]
-        cand = Icosian(tuple(zc))
+        cand = Icosian(_apply8(coeffs, mod.rows))
         if cand.nr().abs_norm() == v:
             cands.append((val, _sign_canonical(cand.zc)))
     cands.sort()

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .field import KNum
+from .field import KNum, gauss_jordan
 from .hnf import hnf_square, diagonal_product, intersect_rows, left_kernel, contains as hnf_contains
-from .icosian import Icosian, Rank8Module
+from .icosian import Icosian, Rank8Module, _apply8
 from .quaternion import Quat
 
 L_BASIS = (
@@ -55,51 +55,21 @@ def inner_product(x: Quat, y: Quat) -> Fraction:
 GRAM = tuple(tuple(inner_product(bi, bj) for bj in L_BASIS) for bi in L_BASIS)
 
 
-def _invert_frac(mat):
+def _inverse_and_det(mat):
     n = len(mat)
     aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    det = gauss_jordan(aug, n)
+    return tuple(tuple(row[n:]) for row in aug), det
 
 
-def _det_frac(mat) -> Fraction:
-    n = len(mat)
-    a = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
-
-
-GRAM_DET = _det_frac(GRAM)
-GRAM_INV = tuple(tuple(row) for row in _invert_frac(GRAM))
+GRAM_INV, GRAM_DET = _inverse_and_det(GRAM)
 
 # Integer inverse of the leading 4x4 block of B_ZC (unimodular by choice of
 # basis order), used for the fast integer coordinate path.
 _LEAD = [[B_ZC[i][j] for j in range(4)] for i in range(4)]
-assert abs(_det_frac(_LEAD)) == 1, "leading block of the L basis must be unimodular"
-_LEAD_INV = tuple(
-    tuple(int(v) for v in row) for row in _invert_frac(_LEAD)
-)
+_lead_inv, _lead_det = _inverse_and_det(_LEAD)
+assert abs(_lead_det) == 1, "leading block of the L basis must be unimodular"
+_LEAD_INV = tuple(tuple(int(v) for v in row) for row in _lead_inv)
 
 
 def int_L_coords(x: Icosian) -> tuple[int, int, int, int] | None:
@@ -117,45 +87,21 @@ def int_L_coords(x: Icosian) -> tuple[int, int, int, int] | None:
     return tuple(v)
 
 
-_MB = [[None] * 4 for _ in range(8)]  # rational 8x4: (a,b)-parts of b_j components
-for _j in range(4):
-    for _i, _comp in enumerate(L_BASIS[_j].components()):
-        _MB[2 * _i][_j] = _comp.a
-        _MB[2 * _i + 1][_j] = _comp.b
+def _rational_parts(x: Quat) -> list[Fraction]:
+    """The eight rational coordinates (a- and b-parts of each component) of x."""
+    return [v for comp in x.components() for v in (comp.a, comp.b)]
+
+
+_MB = [_rational_parts(b) for b in L_BASIS]  # column j of the 8x4 system is b_j
 
 
 def to_L_coords(x: Quat) -> tuple[Fraction, Fraction, Fraction, Fraction] | None:
     """Exact coordinates of x in the L basis, or None if x is outside the
     rational span of L (equivalently, not twist-invariant)."""
-    vec = []
-    for comp in x.components():
-        vec.append(comp.a)
-        vec.append(comp.b)
-    a = [[Fraction(_MB[r][c]) for c in range(4)] + [Fraction(vec[r])] for r in range(8)]
-    cols = []
-    row = 0
-    for col in range(4):
-        piv = next((r for r in range(row, 8) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        a[row] = [v / p for v in a[row]]
-        for r in range(8):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        cols.append(col)
-        row += 1
-    if len(cols) != 4:
+    a = [[col[r] for col in _MB] + [v] for r, v in enumerate(_rational_parts(x))]
+    if not gauss_jordan(a, 4) or any(a[r][4] for r in range(4, 8)):
         return None
-    for r in range(row, 8):
-        if a[r][4] != 0:
-            return None
-    sol = [Fraction(0)] * 4
-    for r, col in enumerate(cols):
-        sol[col] = a[r][4]
-    return tuple(sol)
+    return tuple(a[r][4] for r in range(4))
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,12 +186,7 @@ def module_to_L(mod: Rank8Module) -> SublatticeL:
     kernel = left_kernel(rows)
     gens = []
     for c in kernel:
-        zc = [0] * 8
-        for i in range(8):
-            if c[i]:
-                for k in range(8):
-                    zc[k] += c[i] * mod.rows[i][k]
-        coords = int_L_coords(Icosian(tuple(zc)))
+        coords = int_L_coords(Icosian(_apply8(c[:8], mod.rows)))
         assert coords is not None, "kernel vector must land in L"
         gens.append(coords)
     if len(gens) < 4:

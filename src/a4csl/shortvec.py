@@ -1,11 +1,15 @@
 """Exact short-vector enumeration for positive definite integer forms.
 
-enumerate_form walks all integer vectors x with F(x) = x^T G x equal to (or
-at most) a target, for a symmetric positive definite integer Gram matrix G.
-The quadratic form is completed into a sum of weighted squares by an exact
-LDL decomposition over Fractions once per Gram matrix; the depth-first
-search itself runs on rescaled integers only, so the enumeration is exact
-and provably complete (no floating point, no epsilon).
+One depth-first search walks the integer vectors x with F_i(x) = x^T G_i x
+equal to (or at most) a target for each of k symmetric positive definite
+integer Gram matrices G_i at once, pruning on every form at every level.
+enumerate_form is its one-form case (an equality or a ball) and
+enumerate_two_forms its two-form equality case.  Each quadratic form is
+completed into a sum of weighted squares by an exact LDL decomposition over
+Fractions once per Gram matrix; the search itself runs on rescaled integers
+only, so the enumeration is exact and provably complete (no floating point,
+no epsilon).  In an equality search the last coordinate is solved for
+exactly instead of scanned.
 
 Vectors come in +-pairs; exactly one representative per pair is produced
 (the one whose highest-index nonzero coordinate is positive).  The zero
@@ -17,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import mul
 
 from .errors import BudgetError, DomainError
 
@@ -59,19 +64,38 @@ def _prepared(gram: tuple[tuple[int, ...], ...]):
     return tuple(w), tuple(ud), tuple(un), m
 
 
-def enumerate_form(gram, target: int, *, equal: bool = True, budget: NodeBudget | None = None):
-    """Yield (x, F(x)) with F(x) == target (equal=True) or 0 < F(x) <= target."""
-    n = len(gram)
-    w, ud, un, m = _prepared(tuple(tuple(int(v) for v in row) for row in gram))
-    if target < 0 or (equal and target == 0):
+def _dfs(grams, targets, equal: bool, budget: NodeBudget | None):
+    """Yield (x, F_0(x)) with F_i(x) == targets[i] for every form (equal=True)
+    or 0 < F_0(x) and F_i(x) <= targets[i] for every form (equal=False)."""
+    n = len(grams[0])
+    forms = [_prepared(tuple(tuple(int(v) for v in row) for row in g)) for g in grams]
+    if min(targets) < 0 or (equal and 0 in targets):
         return
     limit = budget.limit - budget.used if budget is not None else None
     used = 0
 
+    # steps[lvl] holds, per form: its index, the weight and row denominator
+    # of the level above (zero above the top level), those of this level and
+    # the scaled off-diagonal row, which is zero up to this level so that the
+    # stale coordinates below it drop out of the centre.
+    k = len(forms)
+    w = [[f[0][lvl] for f in forms] for lvl in range(n)] + [[0] * k]
+    ud = [[f[1][lvl] for f in forms] for lvl in range(n)] + [[0] * k]
+    rows = [[f[2][lvl] for f in forms] for lvl in range(n)]
+    steps = [
+        tuple(zip(range(k), w[lvl + 1], ud[lvl + 1], w[lvl], ud[lvl], rows[lvl]))
+        for lvl in range(n)
+    ]
+    w0, ud0, m0 = w[0][0], ud[0][0], forms[0][3]
+    target0 = targets[0]
+
     x = [0] * n
-    rem = [0] * (n + 1)  # scaled remaining budget entering each level
-    rem[n] = target * m
-    cnum = [0] * n
+    rem = [[0] * k for _ in range(n + 1)]  # scaled remainders entering each level
+    rem[n] = [t * f[3] for t, f in zip(targets, forms)]
+    cen = [[0] * k for _ in range(n + 1)]  # scaled centres at each level
+    rem0, cen0 = rem[0], cen[0]
+    # What entering a level reads (the level above) and writes (its own).
+    frames = [(rem[lvl + 1], cen[lvl + 1], rem[lvl], cen[lvl]) for lvl in range(n)]
     cur = [0] * n
     high = [0] * n
     zpref = [True] * (n + 1)  # x[lvl+1:] all zero?
@@ -83,33 +107,50 @@ def enumerate_form(gram, target: int, *, equal: bool = True, budget: NodeBudget 
                 used += 1
                 if limit is not None and used > limit:
                     raise BudgetError(f"enumeration exceeded {budget.limit} nodes")
-                rr = rem[lvl + 1]
-                cn = 0
-                row = un[lvl]
-                for j in range(lvl + 1, n):
-                    xj = x[j]
-                    if xj:
-                        cn += row[j] * xj
-                cnum[lvl] = cn
-                s = isqrt(rr // w[lvl])
-                udl = ud[lvl]
-                lo = -((s + cn) // udl)
-                hi = (s - cn) // udl
+                xp = x[lvl + 1] if lvl + 1 < n else 0
+                rp, cp, rs, cs = frames[lvl]
+                lo = hi = None
+                for f, wp, up, wl, u, row in steps[lvl]:
+                    v = xp * up + cp[f]
+                    r = rp[f] - wp * v * v
+                    c = sum(map(mul, row, x))
+                    rs[f] = r
+                    cs[f] = c
+                    # |x*u + c| <= isqrt(r // wl) is exactly wl*(x*u + c)^2 <= r,
+                    # so every x in [lo, hi] leaves each form a remainder >= 0.
+                    s = isqrt(r // wl)
+                    a = -((s + c) // u)
+                    b = (s - c) // u
+                    if lo is None:
+                        lo, hi = a, b
+                    else:
+                        if a > lo:
+                            lo = a
+                        if b < hi:
+                            hi = b
                 if zpref[lvl + 1] and lo < 0:
                     lo = 0
                 if lvl == 0 and equal:
-                    # Solve w0 * v^2 == rr exactly instead of scanning.
-                    q, r = divmod(rr, w[0])
+                    # Solve w0 * v^2 == r exactly for the first form instead
+                    # of scanning, then test every form for equality.
+                    q, r = divmod(rs[0], w0)
                     if r == 0:
                         v = isqrt(q)
                         if v * v == q:
                             for vc in (v, -v) if v else (0,):
-                                num = vc - cn
-                                if num % udl == 0:
-                                    x0 = num // udl
-                                    if lo <= x0 <= hi and not (zpref[1] and x0 == 0):
+                                num = vc - cs[0]
+                                if num % ud0 == 0:
+                                    x0 = num // ud0
+                                    if (
+                                        lo <= x0 <= hi
+                                        and not (zpref[1] and x0 == 0)
+                                        and all(
+                                            wf * (x0 * uf + c) ** 2 == rf
+                                            for wf, uf, rf, c in zip(w[0], ud[0], rs, cs)
+                                        )
+                                    ):
                                         x[0] = x0
-                                        yield tuple(x), target
+                                        yield tuple(x), target0
                     # fall through to backtrack
                     cur[lvl] = 1
                     high[lvl] = 0
@@ -127,24 +168,23 @@ def enumerate_form(gram, target: int, *, equal: bool = True, budget: NodeBudget 
 
             xl = cur[lvl]
             cur[lvl] = xl + 1
-            v = xl * ud[lvl] + cnum[lvl]
-            term = w[lvl] * v * v
-            rr = rem[lvl + 1] - term
-            # in range by construction, but guard exactness for lvl iteration
-            if rr < 0:
-                continue
             x[lvl] = xl
             if lvl == 0:
                 if not (zpref[1] and xl == 0):
-                    yield tuple(x), target - rr // m
+                    v = xl * ud0 + cen0[0]
+                    yield tuple(x), target0 - (rem0[0] - w0 * v * v) // m0
                 continue
-            rem[lvl] = rr
             zpref[lvl] = zpref[lvl + 1] and xl == 0
             lvl -= 1
             entering = True
     finally:
         if budget is not None:
             budget.used += used
+
+
+def enumerate_form(gram, target: int, *, equal: bool = True, budget: NodeBudget | None = None):
+    """Yield (x, F(x)) with F(x) == target (equal=True) or 0 < F(x) <= target."""
+    yield from _dfs((gram,), (target,), equal, budget)
 
 
 def enumerate_two_forms(
@@ -158,98 +198,8 @@ def enumerate_two_forms(
     """Yield x with F1(x) == target1 and F2(x) == target2, both forms positive
     definite.  The DFS prunes on both quadrics at every level, which is far
     tighter than enumerating one form and filtering the other."""
-    n = len(gram1)
-    w1, ud1, un1, m1 = _prepared(tuple(tuple(int(v) for v in row) for row in gram1))
-    w2, ud2, un2, m2 = _prepared(tuple(tuple(int(v) for v in row) for row in gram2))
-    if target1 <= 0 or target2 <= 0:
-        return
-    limit = budget.limit - budget.used if budget is not None else None
-    used = 0
-
-    x = [0] * n
-    rem1 = [0] * (n + 1)
-    rem2 = [0] * (n + 1)
-    rem1[n] = target1 * m1
-    rem2[n] = target2 * m2
-    c1 = [0] * n
-    c2 = [0] * n
-    cur = [0] * n
-    high = [0] * n
-    zpref = [True] * (n + 1)
-    lvl = n - 1
-    entering = True
-    try:
-        while True:
-            if entering:
-                used += 1
-                if limit is not None and used > limit:
-                    raise BudgetError(f"enumeration exceeded {budget.limit} nodes")
-                cn1 = 0
-                row = un1[lvl]
-                for j in range(lvl + 1, n):
-                    if x[j]:
-                        cn1 += row[j] * x[j]
-                c1[lvl] = cn1
-                cn2 = 0
-                row = un2[lvl]
-                for j in range(lvl + 1, n):
-                    if x[j]:
-                        cn2 += row[j] * x[j]
-                c2[lvl] = cn2
-                s1 = isqrt(rem1[lvl + 1] // w1[lvl])
-                s2 = isqrt(rem2[lvl + 1] // w2[lvl])
-                u1, u2 = ud1[lvl], ud2[lvl]
-                lo = max(-((s1 + cn1) // u1), -((s2 + cn2) // u2))
-                hi = min((s1 - cn1) // u1, (s2 - cn2) // u2)
-                if zpref[lvl + 1] and lo < 0:
-                    lo = 0
-                if lvl == 0:
-                    q, r = divmod(rem1[1], w1[0])
-                    if r == 0:
-                        v = isqrt(q)
-                        if v * v == q:
-                            for vc in (v, -v) if v else (0,):
-                                num = vc - cn1
-                                if num % u1 == 0:
-                                    x0 = num // u1
-                                    if lo <= x0 <= hi and not (zpref[1] and x0 == 0):
-                                        v2 = x0 * u2 + cn2
-                                        if w2[0] * v2 * v2 == rem2[1]:
-                                            x[0] = x0
-                                            yield tuple(x)
-                    cur[lvl] = 1
-                    high[lvl] = 0
-                else:
-                    cur[lvl] = lo
-                    high[lvl] = hi
-                entering = False
-                continue
-
-            if cur[lvl] > high[lvl]:
-                lvl += 1
-                if lvl == n:
-                    return
-                continue
-
-            xl = cur[lvl]
-            cur[lvl] = xl + 1
-            v1 = xl * ud1[lvl] + c1[lvl]
-            r1 = rem1[lvl + 1] - w1[lvl] * v1 * v1
-            if r1 < 0:
-                continue
-            v2 = xl * ud2[lvl] + c2[lvl]
-            r2 = rem2[lvl + 1] - w2[lvl] * v2 * v2
-            if r2 < 0:
-                continue
-            x[lvl] = xl
-            rem1[lvl] = r1
-            rem2[lvl] = r2
-            zpref[lvl] = zpref[lvl + 1] and xl == 0
-            lvl -= 1
-            entering = True
-    finally:
-        if budget is not None:
-            budget.used += used
+    for x, _ in _dfs((gram1, gram2), (target1, target2), True, budget):
+        yield x
 
 
 def eval_form(gram, x) -> int:

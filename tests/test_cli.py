@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -100,9 +101,10 @@ def test_census_command_csv(capsys):
 
 
 def test_census_budget_exceeded(capsys):
-    code, out, err = run(capsys, "--budget", "100", "census", "--nmax", "9")
-    assert code == 4
-    assert "# truncated" in out
+    for budget in ("100", "0"):
+        code, out, err = run(capsys, "--budget", budget, "census", "--nmax", "9")
+        assert code == 4
+        assert "# truncated" in out
 
 
 def test_census_threads_byte_identical(capsys):
@@ -116,3 +118,36 @@ def test_selftest(capsys):
     assert code == 0
     assert "0 failure(s)" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--threads", "0", "census"], ["--threads", "-1", "census"], ["--budget", "-1", "census"]],
+)
+def test_bad_threads_or_budget_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err and "Traceback" not in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+# Reference CLI outputs, compared byte for byte with their exit codes.  The
+# truncated census pins the order in which the DFS counts its nodes.
+@pytest.mark.parametrize(
+    "argv, name, code",
+    [
+        (["--output", "json", "enumerate", "10"], "enumerate10.json", 0),
+        (["census", "--nmax", "8"], "census_nmax8.csv", 0),
+        (["--budget", "2000", "census", "--nmax", "9"], "census_nmax9_budget2000.csv", 4),
+        (["selftest"], "selftest.txt", 0),
+    ],
+    ids=["enumerate10", "census8", "census9-budget2000", "selftest"],
+)
+def test_golden_output(capsys, argv, name, code):
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert out.encode() == (GOLDEN / name).read_bytes()

@@ -116,12 +116,6 @@ def test_budget_enforced():
     assert truncated and len(rows) < 9
 
 
-def test_threads_deterministic():
-    seq = enumerate_rotations(10, threads=1)
-    par = enumerate_rotations(10, threads=3)
-    assert [q.zc for q in seq] == [q.zc for q in par]
-
-
 # -- independent oracles ----------------------------------------------------
 
 
