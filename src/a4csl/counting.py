@@ -9,21 +9,33 @@ routes agree.
 enumerate_rotations(n) produces one icosian per right-ideal class q*I with
 coincidence index n.  The strategy is exact and complete: list candidate
 reduced norms m (totally positive, lcm(m, m') = n, one representative per
-tau^2-scaling orbit), exhaust the positive definite coordinate form for
-each m by short-vector enumeration, filter primitive representatives, and
-collapse the right action of the 120 norm-1 units.  census(n) then counts
-distinct CSL HNFs and checks them against f(n).
+tau^2-scaling orbit) and build the classes of each m from the primes pi of
+o that divide it.  The N(pi)+1 classes of norm pi (the generators) come
+from one short-vector search each (class_reps_for_norm); the classes of
+norm pi^k are the products q*g of a class q of norm pi^(k-1) with a
+generator g that pi does not divide (non-backtracking walks on the
+Bruhat-Tits tree, so none repeats), and the classes of m are the products
+of one class per prime-power part.  Each product is scaled by a power of
+tau to reduced norm m and replaced by class_rep, the least vector of its
+orbit under the 120 norm-1 units: the representative the short-vector
+route picks.  Class counts are checked against the local ideal counts
+N(pi)^k + N(pi)^(k-1).  census(n) then counts distinct CSL HNFs and checks
+them against f(n).
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import mul
 
 from .errors import BudgetError, DomainError
 from .field import (
     INERT,
+    ONE_O,
     OInt,
     RAMIFIED,
     TAU,
@@ -33,6 +45,7 @@ from .field import (
     lcm_o,
     split_prime_above,
     splitting_type,
+    tau_pow,
     unit_normalize,
 )
 from .icosian import (
@@ -141,6 +154,15 @@ def _split_exponent_pairs(e: int) -> list[tuple[int, int]]:
     return out
 
 
+def _norm_candidate(x: OInt) -> tuple[OInt, int]:
+    """(y, j): y the member of the tau^2-scaling orbit of x that
+    norm_candidates lists, and x = tau^(2j) * y when x is totally positive."""
+    y, k, _sign = unit_normalize(x)
+    if y.field_norm() < 0:
+        return y * TAU, (k - 1) // 2
+    return y, k // 2
+
+
 def norm_candidates(n: int) -> list[OInt]:
     """Candidate reduced norms for coincidence index n.
 
@@ -165,9 +187,7 @@ def norm_candidates(n: int) -> list[OInt]:
         m = OInt(1, 0)
         for part in combo:
             m = m * part
-        y = unit_normalize(m)[0]
-        if y.field_norm() < 0:
-            y = y * TAU
+        y = _norm_candidate(m)[0]
         assert y.is_totally_positive()
         assert lcm_o(y, y.conj()) == OInt(n, 0), f"candidate {y} has wrong lcm"
         out.append(y)
@@ -198,7 +218,8 @@ def _neg(zc):
 
 
 def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
-    """One coordinate vector per right-ideal class with nr exactly m."""
+    """One coordinate vector per right-ideal class with nr exactly m, by
+    short-vector search over all icosians of that norm."""
     vecs = icosians_with_norm(m, budget)
     repeated = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
     if repeated:
@@ -223,12 +244,137 @@ def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple
     return reps
 
 
-def enumerate_rotations(n: int, *, budget: NodeBudget | None = None) -> list[Icosian]:
+# The unit orbit of a vector is computed in one pass of big-integer
+# arithmetic: field 8t+k of _orbit_packing()[0][i] holds entry (i, k) of
+# the t-th unit matrix, _ORBIT_BITS bits wide, so sum(x_i * packs[i]) holds
+# every x*u at once; adding the bias (_ORBIT_HALF in every field) makes the
+# fields non-negative, and they are read back as unsigned 64-bit words.
+_ORBIT_BITS = 64
+_ORBIT_HALF = 1 << (_ORBIT_BITS - 1)
+_ORBIT_ZERO = (_ORBIT_HALF,) * 8
+
+
+@lru_cache(maxsize=1)
+def _orbit_packing():
+    """(packs, bias, byte length, largest |coordinate| that fits a field)."""
+    mats = unit_right_mul_matrices()
+    nfields = 8 * len(mats)
+    packs = tuple(
+        sum(mat[i][k] << (_ORBIT_BITS * (8 * t + k)) for t, mat in enumerate(mats) for k in range(8))
+        for i in range(8)
+    )
+    bias = sum(_ORBIT_HALF << (_ORBIT_BITS * f) for f in range(nfields))
+    widest = max(sum(abs(mat[i][k]) for i in range(8)) for mat in mats for k in range(8))
+    return packs, bias, nfields * _ORBIT_BITS // 8, (_ORBIT_HALF - 1) // widest
+
+
+def _last_positive(o: tuple[int, ...]) -> tuple[int, ...]:
+    for v in reversed(o):
+        if v:
+            return o if v > 0 else _neg(o)
+    return o
+
+
+def _orbit_min(zc: tuple[int, ...]) -> tuple[int, ...]:
+    """The least x*u over the 120 norm-1 units u, each taken with the sign
+    that makes its last nonzero coordinate positive."""
+    packs, bias, nbytes, limit = _orbit_packing()
+    if max(map(abs, zc)) > limit:
+        return min(_last_positive(_apply8(zc, mat)) for mat in unit_right_mul_matrices())
+    a = sum(x * p for x, p in zip(zc, packs) if x)
+    order = sys.byteorder
+    words = memoryview((bias + a).to_bytes(nbytes, order) + (bias - a).to_bytes(nbytes, order))
+    # x*u and -x*u, offset by _ORBIT_HALF; the last nonzero coordinate is
+    # positive iff the reversed vector exceeds the offset zero vector.
+    best = min(
+        o
+        for o in zip(*[iter(words.cast("Q"))] * 8)
+        if o[7] > _ORBIT_HALF or (o[7] == _ORBIT_HALF and o[::-1] > _ORBIT_ZERO)
+    )
+    return tuple(v - _ORBIT_HALF for v in best)
+
+
+def class_rep(q: Icosian) -> tuple[int, ...]:
+    """The coordinate vector enumerate_rotations lists for the class q*I.
+
+    q is scaled by a power of tau so that nr is its norm candidate; the
+    result is the least vector of the orbit under right multiplication by
+    the 120 norm-1 units whose last nonzero coordinate is positive (the
+    first one the sorted short-vector route meets).
+    """
+    if q.is_zero():
+        raise DomainError("the zero icosian has no class")
+    j = _norm_candidate(q.nr())[1]
+    return _orbit_min(q.scale_o(tau_pow(-j)).zc if j else q.zc)
+
+
+def _totally_positive(pi: OInt) -> OInt:
+    """The totally positive associate of a prime in unit-normal form."""
+    return pi * TAU if pi.field_norm() < 0 else pi
+
+
+def _prime_power_classes(
+    pi: OInt, k: int, budget: NodeBudget | None, memo: dict
+) -> list[Icosian]:
+    """One icosian of nr pi^k per right-ideal class, pi totally positive prime.
+
+    k = 1 is one short-vector search; higher powers extend each class of
+    pi^(k-1) by every generator and drop the one backtracking product,
+    which pi divides.
+    """
+    key = (pi, k)
+    if key not in memo:
+        if k == 1:
+            memo[key] = [Icosian(zc) for zc in class_reps_for_norm(pi, budget)]
+        else:
+            gens = _prime_power_classes(pi, 1, budget, memo)
+            out = []
+            for q in _prime_power_classes(pi, k - 1, budget, memo):
+                for g in gens:
+                    x = q * g
+                    if not all(pi.divides(c) for c in x.coords()):
+                        out.append(x)
+            memo[key] = out
+    return memo[key]
+
+
+def _class_reps_by_products(
+    m: OInt, budget: NodeBudget | None, memo: dict
+) -> list[tuple[int, ...]]:
+    """class_reps_for_norm(m), built from the prime-norm generators."""
+    if m == ONE_O:
+        # Searched like the generators, so that index 1 is charged to the
+        # budget (a budget below 154 nodes truncates a census before n = 1).
+        return class_reps_for_norm(m, budget)
+    parts = []
+    expected = 1
+    for pi, k, _tag in factor_o(m).factors:
+        parts.append(_prime_power_classes(_totally_positive(pi), k, budget, memo))
+        np = pi.abs_norm()
+        expected *= np**k + np ** (k - 1)
+    reps = sorted(class_rep(reduce(mul, combo)) for combo in itertools.product(*parts))
+    if len(reps) != expected:
+        raise AssertionError(f"nr {m}: {len(reps)} classes, the ideal count is {expected}")
+    if len(set(reps)) != len(reps):
+        raise AssertionError(f"nr {m}: two products give the same class")
+    return reps
+
+
+def enumerate_rotations(
+    n: int, *, budget: NodeBudget | None = None, memo: dict | None = None
+) -> list[Icosian]:
     """One primitive admissible icosian per coincidence rotation class
-    (right-ideal class) with coincidence index n."""
+    (right-ideal class) with coincidence index n.
+
+    memo holds the generators and prime-power classes between calls that
+    share it (census_table passes one per table); the budget is charged
+    for the searches that fill it.
+    """
+    if memo is None:
+        memo = {}
     reps: list[Icosian] = []
     for m in norm_candidates(n):
-        reps.extend(Icosian(zc) for zc in class_reps_for_norm(m, budget))
+        reps.extend(Icosian(zc) for zc in _class_reps_by_products(m, budget, memo))
     return reps
 
 
@@ -252,13 +398,15 @@ def census(
     budget: NodeBudget | None = None,
     strict: bool = True,
     details: dict | None = None,
+    memo: dict | None = None,
 ) -> SigmaCensus:
     """Enumerate index-n rotations, count distinct CSLs, compare with f(n).
 
     strict=True raises on a count mismatch (the counting theorem is exact);
-    details, when given a dict, receives the representatives and HNFs.
+    details, when given a dict, receives the representatives and HNFs;
+    memo is passed on to enumerate_rotations.
     """
-    reps = enumerate_rotations(n, budget=budget)
+    reps = enumerate_rotations(n, budget=budget, memo=memo)
     hnfs = set()
     crit_keys = set()
     rep_info = []
@@ -295,9 +443,10 @@ def census_table(
     exhaustion the table is cut short and truncated is True."""
     rows = []
     truncated = False
+    memo: dict = {}
     for n in range(1, nmax + 1):
         try:
-            rows.append(census(n, budget=budget, strict=strict))
+            rows.append(census(n, budget=budget, strict=strict, memo=memo))
         except BudgetError:
             truncated = True
             break

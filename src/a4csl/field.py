@@ -182,10 +182,8 @@ class KNum:
         if isinstance(other, (int, Fraction)):
             return KNum(self.a * other, self.b * other)
         if isinstance(other, KNum):
-            return KNum(
-                self.a * other.a + self.b * other.b,
-                self.a * other.b + self.b * other.a + self.b * other.b,
-            )
+            bb = self.b * other.b
+            return KNum(self.a * other.a + bb, self.a * other.b + self.b * other.a + bb)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -1,15 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import BudgetError, DomainError
-from a4csl.field import OInt, factor_int, factor_o, is_prime, lcm_o, unit_normalize
-from a4csl.icosian import Icosian, TRACE_GRAM, unit_right_mul_matrices
+from a4csl.field import OInt, factor_int, factor_o, is_prime, lcm_o, tau_pow, unit_normalize
+from a4csl.icosian import Icosian, TRACE_GRAM, sigma_index, unit_group, unit_right_mul_matrices
 from a4csl.counting import (
     NodeBudget,
+    _orbit_min,
     census,
     census_csv,
     census_table,
+    class_rep,
     class_reps_for_norm,
     dirichlet_coeffs,
     enumerate_rotations,
@@ -110,10 +113,63 @@ def test_census_table_and_csv():
 
 
 def test_budget_enforced():
+    """The generator memo lives for one call, so the same budget truncates
+    at the same index cold and after a warm census: norm 1 (154 nodes) and
+    norm 2 (800) fit in 2000 nodes, norm 3 (2423) does not."""
     with pytest.raises(BudgetError):
         enumerate_rotations(11, budget=NodeBudget(50))
-    rows, truncated = census_table(9, budget=NodeBudget(2000))
-    assert truncated and len(rows) < 9
+    cold, truncated = census_table(9, budget=NodeBudget(2000))
+    assert truncated and census_csv(cold).splitlines()[1:] == ["1,1,1,1,true", "2,5,5,5,true"]
+    census_table(12)
+    warm, truncated = census_table(9, budget=NodeBudget(2000))
+    assert truncated and warm == cold
+
+
+def test_enumeration_matches_short_vector_route():
+    """The product construction lists the same icosians in the same order as
+    the short-vector search over every candidate norm."""
+    memo = {}
+    for n in range(1, 26):
+        dfs = [zc for m in norm_candidates(n) for zc in class_reps_for_norm(m)]
+        assert [q.zc for q in enumerate_rotations(n, memo=memo)] == dfs, n
+
+
+def test_orbit_min_packed_and_plain_paths_agree():
+    # Scaling by c > 0 scales the orbit minimum; c = 2**62 takes the
+    # coordinates past the packed fields, onto the plain apply loop.
+    for n in (1, 2, 5, 9, 11):
+        for q in enumerate_rotations(n):
+            for c in (1, 3, 2**62):
+                scaled = tuple(c * v for v in q.zc)
+                assert _orbit_min(scaled) == tuple(c * v for v in q.zc)
+
+
+@st.composite
+def admissible_primitive(draw):
+    """A primitive admissible icosian: a random vector if it is admissible,
+    else its product with its twist (nr becomes nr * nr', whose field norm
+    is a square), reduced to its primitive part."""
+    zc = draw(st.tuples(*[st.integers(-3, 3)] * 8).filter(any))
+    q = Icosian(zc)
+    if not q.is_admissible():
+        q = q * q.twist()
+    return q.primitive_part()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    admissible_primitive(),
+    st.sampled_from(unit_group()),
+    st.integers(-4, 4),
+    st.sampled_from((1, -1)),
+)
+def test_class_rep_invariant_under_units(reps_by_index, q, u, k, sign):
+    rep = class_rep(q)
+    moved = (q * u).scale_o(tau_pow(k) * sign)
+    assert class_rep(moved) == rep
+    assert Icosian(rep).nr() in norm_candidates(sigma_index(q))
+    if sigma_index(q) <= NMAX_ORACLE:
+        assert rep in {r.zc for r in reps_by_index[sigma_index(q)]}
 
 
 # -- independent oracles ----------------------------------------------------
