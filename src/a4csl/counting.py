@@ -19,8 +19,14 @@ of one class per prime-power part.  Each product is scaled by a power of
 tau to reduced norm m and replaced by class_rep, the least vector of its
 orbit under the 120 norm-1 units: the representative the short-vector
 route picks.  Class counts are checked against the local ideal counts
-N(pi)^k + N(pi)^(k-1).  census(n) then counts distinct CSL HNFs and checks
-them against f(n).
+N(pi)^k + N(pi)^(k-1).
+
+census(n) takes each class q to its CSL, the phi_plus image of q_alpha =
+alpha q, and to its criterion ideal q I + beta I.  alpha, beta and the
+primes that could make q imprimitive depend on nr(q) alone, so they are
+computed once per norm, and phi_plus_image reads the images of the basis
+products from a fixed table.  census counts distinct CSL HNFs, checks the
+count against f(n) and the criterion partition against the HNF partition.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import isqrt
 from operator import mul
 
 from .errors import BudgetError, DomainError
@@ -38,12 +45,14 @@ from .field import (
     ONE_O,
     OInt,
     RAMIFIED,
+    SQRT5,
     TAU,
     factor_int,
     factor_o,
     is_prime,
     lcm_o,
     split_prime_above,
+    sqrt_o,
     splitting_type,
     tau_pow,
     unit_normalize,
@@ -51,13 +60,13 @@ from .field import (
 from .icosian import (
     Icosian,
     NORM_A_GRAM,
+    Rank8Module,
     TRACE_GRAM,
+    ZB_ICO,
     _apply8,
-    extension,
     unit_right_mul_matrices,
 )
 from .lattice import phi_plus_image
-from .csl import criterion_ideal
 from .shortvec import NodeBudget, enumerate_two_forms
 
 DEFAULT_NMAX = 30
@@ -83,7 +92,8 @@ def f_prime_power(p: int, r: int) -> int:
             + p ** (2 * r - 2)
             - 2 * Fraction(p * p + 1, p + 1) * p ** ((r - 2) // 2)
         )
-    assert val.denominator == 1, f"f({p}^{r}) must be an integer, got {val}"
+    if val.denominator != 1:
+        raise AssertionError(f"f({p}^{r}) must be an integer, got {val}")
     return int(val)
 
 
@@ -143,7 +153,8 @@ def dirichlet_coeffs(nmax: int) -> list[int]:
         raise DomainError("need at least one coefficient")
     direct = [f(n) for n in range(1, nmax + 1)]
     via_euler = euler_product_coeffs(nmax)
-    assert direct == via_euler, "Euler product disagrees with closed form"
+    if direct != via_euler:
+        raise AssertionError("Euler product disagrees with closed form")
     return direct
 
 
@@ -392,6 +403,54 @@ class SigmaCensus:
         return self.csl_count == self.f_formula
 
 
+def _norm_data(m: OInt, n: int):
+    """What the CSL stage needs of a reduced norm m of index n: alpha with
+    nr(alpha q) = n, the rows of beta I for the criterion ideal q I + beta I
+    (beta = den/c as in csl.criterion_ideal), the unit-normal form of m and
+    the primes whose square divides m."""
+    if lcm_o(m, m.conj()) != OInt(n, 0):
+        raise AssertionError(f"lcm of {m} and its conjugate is not {n}")
+    alpha = sqrt_o(OInt(n, 0).exact_div(m))
+    if alpha is None:
+        raise AssertionError(f"{n}/{m} must be a square in o")
+    d = isqrt(m.abs_norm())
+    if d * d != m.abs_norm():
+        raise AssertionError(f"nr {m} is not admissible")
+    if n % 5:
+        beta = Icosian.from_int(d)
+    elif d % 5:
+        raise AssertionError("5 | sigma forces 5 | den")
+    else:
+        beta = Icosian.from_o(OInt(d // 5, 0) * SQRT5)
+    beta_rows = [(beta * zb).zc for zb in ZB_ICO]
+    repeated = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
+    return alpha, beta_rows, unit_normalize(m)[0], repeated
+
+
+def _class_csls(n: int, reps: list[Icosian]):
+    """Yield (CSL, criterion key) for each class rep q of index n.
+
+    The CSL is phi_plus_image of the extension alpha q and the key is the
+    unit-normal nr(q) with the rows of criterion_ideal(q), as from the
+    public routes; everything that depends on nr(q) alone comes from
+    _norm_data, once per norm.  A prime pi dividing every coordinate of q
+    has pi^2 | nr(q), so the repeated primes decide primitivity.
+    """
+    per_norm = {}
+    for q in reps:
+        m = q.nr()
+        if m not in per_norm:
+            per_norm[m] = _norm_data(m, n)
+        alpha, beta_rows, key, repeated = per_norm[m]
+        if any(all(pi.divides(c) for c in q.coords()) for pi in repeated):
+            raise DomainError(f"class rep {q} is not primitive")
+        lat = phi_plus_image(q.scale_o(alpha))
+        if lat.index != n:
+            raise DomainError(f"CSL index {lat.index} != {n} for {q}")
+        rows = Rank8Module.from_rows([(q * zb).zc for zb in ZB_ICO] + beta_rows).rows
+        yield lat, (key, rows)
+
+
 def census(
     n: int,
     *,
@@ -409,17 +468,11 @@ def census(
     reps = enumerate_rotations(n, budget=budget, memo=memo)
     hnfs = set()
     crit_keys = set()
-    rep_info = []
-    for q in reps:
-        q_alpha, _alpha = extension(q)
-        lat = phi_plus_image(q_alpha)
-        if lat.index != n:
-            raise DomainError(f"CSL index {lat.index} != {n} for {q}")
+    for lat, key in _class_csls(n, reps):
         hnfs.add(lat.hnf)
-        key = (unit_normalize(q.nr())[0], criterion_ideal(q).rows)
         crit_keys.add(key)
-        rep_info.append((q, lat))
-    assert len(crit_keys) == len(hnfs), "criterion dedup disagrees with HNF dedup"
+    if len(crit_keys) != len(hnfs):
+        raise AssertionError("criterion dedup disagrees with HNF dedup")
     result = SigmaCensus(
         n=n, rotation_classes=len(reps), csl_count=len(hnfs), f_formula=f(n)
     )
@@ -428,7 +481,7 @@ def census(
             f"census({n}): {result.csl_count} CSLs but f({n}) = {result.f_formula}"
         )
     if details is not None:
-        details["representatives"] = [q for q, _ in rep_info]
+        details["representatives"] = list(reps)
         details["csls"] = sorted(hnfs)
     return result
 

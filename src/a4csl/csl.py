@@ -34,9 +34,9 @@ from .lattice import (
     B_ICO,
     SublatticeL,
     int_L_coords,
-    is_g_orthogonal,
     module_to_L,
     phi_plus_image,
+    rows_preserve_gram,
 )
 
 log = logging.getLogger("a4csl")
@@ -99,10 +99,11 @@ def rotation_of(q: Icosian) -> CoincidenceRotation:
     q_alpha, alpha = extension(p)
     sigma = sigma_index(p)
     rows = _image_rows(q_alpha)
+    if not rows_preserve_gram(rows, sigma):
+        raise AssertionError("rotation matrix must preserve the Gram form")
     matrix = tuple(
         tuple(Fraction(rows[j][i], sigma) for j in range(4)) for i in range(4)
     )
-    assert is_g_orthogonal(matrix), "rotation matrix must preserve the Gram form"
     return CoincidenceRotation(q=p, q_alpha=q_alpha, alpha=alpha, matrix=matrix, sigma=sigma, den=d)
 
 

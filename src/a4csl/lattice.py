@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .errors import DomainError
 from .field import KNum, gauss_jordan
 from .hnf import hnf_square, diagonal_product, intersect_rows, left_kernel, contains as hnf_contains
-from .icosian import Icosian, Rank8Module, _apply8
+from .icosian import ZB_ICO, Icosian, Rank8Module, _apply8
 from .quaternion import Quat
 
 L_BASIS = (
@@ -194,20 +196,38 @@ def module_to_L(mod: Rank8Module) -> SublatticeL:
     return SublatticeL.from_integer_rows(gens)
 
 
+@lru_cache(maxsize=1)
+def _phi_plus_table() -> tuple[tuple[int, ...], ...]:
+    """Row i: the L-coordinates of phi_plus(zb_i * zb_j), j = 0..7, one
+    after the other (32 integers).
+
+    phi_plus and the product are Z-linear, so the L-coordinates of
+    phi_plus(q * zb_j) are sum_i q_i * (entries 4j..4j+3 of row i).  All 64
+    products landing in L proves that phi_plus maps every icosian into L.
+    """
+    table = []
+    for zi in ZB_ICO:
+        row = []
+        for zj in ZB_ICO:
+            coords = int_L_coords((zi * zj).phi_plus())
+            if coords is None:
+                raise AssertionError("phi_plus of a basis product escaped L")
+            row.extend(coords)
+        table.append(tuple(row))
+    return tuple(table)
+
+
 def phi_plus_image(q: Icosian) -> SublatticeL:
     """The lattice phi_plus(q I) = {q x + twist(q x)}, as a sublattice of L."""
     if q.is_zero():
         raise DomainError("phi_plus image of zero is not a lattice")
-    from .icosian import ZB_ICO
-
-    rows = []
-    for zb in ZB_ICO:
-        y = (q * zb).phi_plus()
-        coords = int_L_coords(y)
-        if coords is None:
-            raise DomainError("phi_plus image escaped L; input was not an icosian")
-        rows.append(coords)
-    return SublatticeL.from_integer_rows(rows)
+    out = [0] * 32
+    for x, row in zip(q.zc, _phi_plus_table()):
+        if x:
+            for k, t in enumerate(row):
+                if t:
+                    out[k] += x * t
+    return SublatticeL.from_integer_rows([out[k : k + 4] for k in range(0, 32, 4)])
 
 
 def conjugation_matrix_L() -> tuple[tuple[int, ...], ...]:
@@ -220,13 +240,24 @@ def conjugation_matrix_L() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
 
 
+GRAM2 = tuple(tuple(int(2 * v) for v in row) for row in GRAM)  # the A4 Cartan matrix
+
+
+def rows_preserve_gram(rows, s: int) -> bool:
+    """R (2G) R^T == s^2 (2G) for the integer 4x4 matrix R = rows: the map
+    with column j = rows[j] / s preserves the Gram form."""
+    rg = [[sum(r[k] * GRAM2[k][j] for k in range(4)) for j in range(4)] for r in rows]
+    s2 = s * s
+    return all(
+        sum(rg[i][k] * rows[j][k] for k in range(4)) == s2 * GRAM2[i][j]
+        for i in range(4)
+        for j in range(4)
+    )
+
+
 def is_g_orthogonal(mat) -> bool:
-    """M^T G M == G, exactly."""
-    n = 4
-    mt_g = [[sum(Fraction(mat[k][i]) * GRAM[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = sum(mt_g[i][k] * Fraction(mat[k][j]) for k in range(n))
-            if v != GRAM[i][j]:
-                return False
-    return True
+    """M^T G M == G, exactly: rows_preserve_gram on s M^T, with s the least
+    common denominator of the entries of M."""
+    fr = [[Fraction(v) for v in row] for row in mat]
+    s = lcm(*(v.denominator for row in fr for v in row))
+    return rows_preserve_gram([[int(fr[k][j] * s) for k in range(4)] for j in range(4)], s)

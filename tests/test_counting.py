@@ -5,9 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import BudgetError, DomainError
 from a4csl.field import OInt, factor_int, factor_o, is_prime, lcm_o, tau_pow, unit_normalize
-from a4csl.icosian import Icosian, TRACE_GRAM, sigma_index, unit_group, unit_right_mul_matrices
+from a4csl.csl import criterion_ideal
+from a4csl.icosian import (
+    Icosian,
+    TRACE_GRAM,
+    extension,
+    sigma_index,
+    unit_group,
+    unit_right_mul_matrices,
+)
+from a4csl.lattice import phi_plus_image
 from a4csl.counting import (
     NodeBudget,
+    _class_csls,
+    _class_reps_by_products,
     _orbit_min,
     census,
     census_csv,
@@ -254,6 +265,36 @@ def test_enumeration_complete_vs_exhaustive_scan(reps_by_index):
     for n in range(1, NMAX_ORACLE + 1):
         fast = {_canonical_class_key(q) for q in reps_by_index[n]}
         assert fast == slow[n], f"enumeration incomplete or unsound at n={n}"
+
+
+def test_census_stage_matches_public_routes(reps_by_index):
+    """Class by class, the per-norm CSL stage of census gives the CSL of
+    phi_plus_image(extension(q)) and the rows of criterion_ideal(q).  Every
+    norm of index <= 12 is rational (alpha = 1), so the classes of the two
+    norms pi^2 and pi'^2 of index 121 are checked too (alpha = pi', pi)."""
+    cases = dict(reps_by_index)
+    cases[121] = [
+        Icosian(zc)
+        for m in norm_candidates(121)
+        if m != OInt(121, 0)
+        for zc in _class_reps_by_products(m, None, {})
+    ]
+    for n, reps in cases.items():
+        stage = list(_class_csls(n, reps))
+        assert len(stage) == len(reps)
+        for q, (lat, (key, rows)) in zip(reps, stage):
+            assert lat.hnf == phi_plus_image(extension(q)[0]).hnf, (n, q.zc)
+            assert rows == criterion_ideal(q).rows, (n, q.zc)
+            assert key == unit_normalize(q.nr())[0]
+
+
+def test_census_stage_refuses_bad_reps():
+    # nr(2) = 4 has index 4, but 2 divides every coordinate
+    with pytest.raises(DomainError, match="not primitive"):
+        list(_class_csls(4, [Icosian.from_int(2)]))
+    # a unit has index 1, not 3
+    with pytest.raises(AssertionError):
+        list(_class_csls(3, [Icosian.from_int(1)]))
 
 
 def _primitive_ideal_count(n: int) -> int:

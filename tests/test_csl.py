@@ -7,9 +7,16 @@ import pytest
 from a4csl.errors import DomainError
 from a4csl.field import OInt, TAU, lcm_o
 from a4csl.icosian import Icosian, to_icosian, unit_group
-from a4csl.lattice import GRAM, SublatticeL, conjugation_matrix_L, is_g_orthogonal
+from a4csl.lattice import (
+    GRAM,
+    SublatticeL,
+    conjugation_matrix_L,
+    is_g_orthogonal,
+    rows_preserve_gram,
+)
 from a4csl.csl import (
     CslRecord,
+    _image_rows,
     csl_Lq,
     csl_ideal_form,
     csl_intersection,
@@ -61,6 +68,26 @@ def test_rotation_matrix_is_g_orthogonal():
     for q in [R_ICO, S_ICO, UNIT_HALF] + rand_admissible(100, 200):
         m = rotation_of(q).matrix
         assert is_g_orthogonal(m)
+
+
+def test_integer_gram_check_catches_one_entry_changes():
+    """rotation_of checks R (2G) R^T == sigma^2 (2G) on the integer image
+    rows R; changing any one entry by +-1 breaks it, and is_g_orthogonal
+    on the rational matrix says the same.  (Always: a change in column k
+    could survive only if column k of R (2G) were -+e_j, but every column
+    c of R (2G) has c^T (2G)^-1 c = 2 sigma^2, and e_j has at most 6/5.)"""
+    for q in [R_ICO, S_ICO, UNIT_HALF] + rand_admissible(100, 100):
+        rot = rotation_of(q)
+        rows = _image_rows(rot.q_alpha)
+        assert rows_preserve_gram(rows, rot.sigma)
+        for j in range(4):
+            for k in range(4):
+                for delta in (1, -1):
+                    bad = [list(r) for r in rows]
+                    bad[j][k] += delta
+                    assert not rows_preserve_gram(bad, rot.sigma)
+                    mat = [[Fraction(bad[c][i], rot.sigma) for c in range(4)] for i in range(4)]
+                    assert not is_g_orthogonal(mat)
 
 
 def test_rotation_rejects_bad_input():

@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import DomainError
 from a4csl.field import OInt
 from a4csl.hnf import hnf
-from a4csl.icosian import Icosian, right_ideal, to_icosian
+from a4csl.icosian import ZB_ICO, Icosian, right_ideal, to_icosian
 from a4csl.lattice import (
     B_ICO,
     GRAM,
+    GRAM2,
     GRAM_DET,
     L_BASIS,
     SublatticeL,
@@ -41,6 +43,7 @@ def test_gram_is_half_cartan():
     for i in range(4):
         for j in range(4):
             assert GRAM[i][j] == Fraction(CARTAN_A4[i][j], 2)
+    assert GRAM2 == CARTAN_A4
     assert GRAM_DET == Fraction(5, 16)
 
 
@@ -182,8 +185,6 @@ def test_phi_plus_image_is_twist_invariant_lattice():
         if q.is_zero():
             continue
         lat = phi_plus_image(q)
-        from a4csl.icosian import ZB_ICO
-
         twisted_rows = []
         for zb in ZB_ICO:
             y = (q * zb).phi_plus().twist()
@@ -191,6 +192,32 @@ def test_phi_plus_image_is_twist_invariant_lattice():
             assert coords is not None
             twisted_rows.append(coords)
         assert SublatticeL.from_integer_rows(twisted_rows).hnf == lat.hnf
+
+
+_COORD = st.one_of(st.integers(-3, 3), st.integers(-(10**6), 10**6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.tuples(*[_COORD] * 8).filter(any),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+)
+def test_phi_plus_table_matches_products(zc, scale):
+    """The table route of phi_plus_image against the per-product route:
+    phi_plus(q * zb) in L-coordinates for each of the 8 basis icosians.
+    Scaling by a non-unit of o makes q imprimitive."""
+    q = Icosian(zc).scale_o(OInt(*scale))
+    rows = []
+    for zb in ZB_ICO:
+        coords = int_L_coords((q * zb).phi_plus())
+        assert coords is not None
+        rows.append(coords)
+    assert phi_plus_image(q).hnf == SublatticeL.from_integer_rows(rows).hnf
+
+
+def test_phi_plus_image_refuses_zero():
+    with pytest.raises(DomainError):
+        phi_plus_image(Icosian.from_int(0))
 
 
 def test_serialization_refuses_bad_index():
