@@ -456,13 +456,11 @@ def census(
     *,
     budget: NodeBudget | None = None,
     strict: bool = True,
-    details: dict | None = None,
     memo: dict | None = None,
 ) -> SigmaCensus:
     """Enumerate index-n rotations, count distinct CSLs, compare with f(n).
 
     strict=True raises on a count mismatch (the counting theorem is exact);
-    details, when given a dict, receives the representatives and HNFs;
     memo is passed on to enumerate_rotations.
     """
     reps = enumerate_rotations(n, budget=budget, memo=memo)
@@ -480,9 +478,6 @@ def census(
         raise AssertionError(
             f"census({n}): {result.csl_count} CSLs but f({n}) = {result.f_formula}"
         )
-    if details is not None:
-        details["representatives"] = list(reps)
-        details["csls"] = sorted(hnfs)
     return result
 
 

@@ -5,11 +5,13 @@ icosian q; it is a coincidence rotation iff q (taken primitive) is
 admissible, i.e. |q twist(q)| is a positive integer.  The CSL L n R(q)L
 can be produced three ways -- direct intersection, the phi_plus image of
 the extension q_alpha, and (q_alpha I + I twist(q_alpha)) n L -- which
-must agree; the coincidence index is lcm(nr q, nr q').
+must agree; the coincidence index is lcm(nr q, nr q').  The direct
+intersection and the ideal form each read L-coordinates off one left kernel.
 
 equal_csl implements the arithmetic criterion for two rotations to share
 one CSL: equal balanced norms plus equality of the right ideals
 p I + (den/c) I, where c divides out one ramified prime when 5 | Sigma.
+symmetry_related tests rI == sI by integer left division in I.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from math import isqrt
 
 from .errors import DomainError
 from .field import OInt, SQRT5, unit_normalize
+from .hnf import left_kernel
 from .icosian import (
     Icosian,
     Rank8Module,
@@ -78,7 +81,8 @@ def _image_rows(q: Icosian, conjugate_argument: bool = False) -> list[tuple[int,
     for b in B_ICO:
         arg = b.conj() if conjugate_argument else b
         coords = int_L_coords(q * arg * tw)
-        assert coords is not None, "conjugated image must stay in L"
+        if coords is None:
+            raise AssertionError("conjugated image must stay in L")
         rows.append(coords)
     return rows
 
@@ -107,21 +111,13 @@ def rotation_of(q: Icosian) -> CoincidenceRotation:
     return CoincidenceRotation(q=p, q_alpha=q_alpha, alpha=alpha, matrix=matrix, sigma=sigma, den=d)
 
 
-def _intersection_from_rows(rows, d: int, expected_index: int | None) -> SublatticeL:
+def _intersection_from_rows(rows, d: int, expected_index: int) -> SublatticeL:
+    """L n (1/d) span(rows): a kernel vector c of d*I_4 + rows has
+    d * c[:4] in the span of the rows, so c[:4] runs over the meet."""
     scaled_l = [[d * int(i == j) for j in range(4)] for i in range(4)]
-    from .hnf import intersect_rows
-
-    meet = intersect_rows(scaled_l, rows)
-    gens = []
-    for r in meet:
-        g = []
-        for v in r:
-            quo, remn = divmod(v, d)
-            assert remn == 0
-            g.append(quo)
-        gens.append(g)
+    gens = [c[:4] for c in left_kernel(scaled_l + list(rows))]
     lat = SublatticeL.from_integer_rows(gens)
-    if expected_index is not None and lat.index != expected_index:
+    if lat.index != expected_index:
         raise DomainError(
             f"intersection index {lat.index} != coincidence index {expected_index}"
         )
@@ -170,7 +166,8 @@ def criterion_ideal(p: Icosian) -> Rank8Module:
     d = isqrt(p.nr().abs_norm())
     sig = sigma_index(p)
     if sig % 5 == 0:
-        assert d % 5 == 0, "5 | sigma forces 5 | den"
+        if d % 5:
+            raise AssertionError("5 | sigma forces 5 | den")
         beta = OInt(d // 5, 0) * SQRT5
     else:
         beta = OInt(d, 0)

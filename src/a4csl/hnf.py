@@ -5,6 +5,8 @@ The HNF convention is row-style echelon: pivots strictly to the right as
 rows descend, positive pivots, entries above a pivot reduced into
 [0, pivot).  Zero rows are dropped, so the HNF is a canonical basis of the
 row lattice and two lattices are equal iff their HNFs are identical.
+Kernels and intersections are each read off one HNF of an augmented
+matrix: the rows that vanish on the leading block.
 """
 
 from __future__ import annotations
@@ -76,23 +78,14 @@ def left_kernel(rows) -> list[list[int]]:
 
 
 def intersect_rows(rows_a, rows_b) -> list[list[int]]:
-    """HNF basis of the intersection of two integer row lattices in Z^n."""
+    """HNF basis of the intersection of two integer row lattices in Z^n: the
+    rows of hnf([a | a] + [b | 0]) that vanish on the first n columns."""
     a = [list(r) for r in rows_a]
-    b = [list(r) for r in rows_b]
-    if not a or not b:
+    if not a or not rows_b:
         return []
-    ker = left_kernel(a + b)
-    ma = len(a)
     n = len(a[0])
-    gens = []
-    for c in ker:
-        v = [0] * n
-        for i in range(ma):
-            if c[i]:
-                for j in range(n):
-                    v[j] += c[i] * a[i][j]
-        gens.append(v)
-    return hnf(gens)
+    aug = [r + r for r in a] + [list(r) + [0] * n for r in rows_b]
+    return [row[n:] for row in hnf(aug) if not any(row[:n])]
 
 
 def contains(hnf_rows, vec) -> bool:

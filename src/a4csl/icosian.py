@@ -13,9 +13,10 @@ integer structure tables, so bulk arithmetic never touches rationals.
 The 120 icosians of reduced norm 1 form the binary icosahedral group; the
 full unit group of I is {+-tau^k} times these.  Right ideals q*I are
 handled as rank-8 Z-modules in Hermite normal form, which makes ideal
-equality, sums and indices canonical.  glcd(p, beta) produces a generator
-of p*I + beta*I (class number one guarantees one exists), found by exact
-short-vector enumeration.
+equality, sums and indices canonical.  Left division is integer: d^-1 x
+lies in I iff nr(d) divides every o-coordinate of conj(d) x.  glcd(p, beta)
+is a generator of p*I + beta*I (class number one guarantees one exists):
+the least short vector of that module whose norm matches its index.
 """
 
 from __future__ import annotations
@@ -304,9 +305,11 @@ def extension(q: Icosian) -> tuple[Icosian, OInt]:
         raise DomainError("extension requires an admissible icosian")
     m = q.nr()
     lam = lcm_o(m, m.conj())
-    assert lam.b == 0 and lam.a > 0, f"lcm of admissible norms must be rational: {lam}"
+    if lam.b != 0 or lam.a <= 0:
+        raise AssertionError(f"lcm of admissible norms must be rational: {lam}")
     alpha = sqrt_o(lam.exact_div(m))
-    assert alpha is not None, "quotient of standardised lcm must be a square"
+    if alpha is None:
+        raise AssertionError("quotient of standardised lcm must be a square")
     return q.scale_o(alpha), alpha
 
 
@@ -320,7 +323,8 @@ def sigma_index(q: Icosian) -> int:
         raise DomainError("sigma requires an admissible icosian")
     m = q.nr()
     lam = lcm_o(m, m.conj())
-    assert lam.b == 0 and lam.a > 0
+    if lam.b != 0 or lam.a <= 0:
+        raise AssertionError(f"lcm of admissible norms must be rational: {lam}")
     return lam.a
 
 
@@ -356,11 +360,10 @@ def unit_right_mul_matrices() -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def same_right_ideal(r: Icosian, s: Icosian) -> bool:
-    """rI == sI, i.e. s^-1 r is a unit of I."""
+    """rI == sI, i.e. s^-1 r lies in I and its reduced norm is a unit."""
     if r.is_zero() or s.is_zero():
         raise DomainError("right ideals need nonzero generators")
-    u = Icosian.from_quat(s.quat().inverse() * r.quat())
-    return u is not None and u.is_unit()
+    return r.nr().abs_norm() == s.nr().abs_norm() and left_divides(s, r)
 
 
 @dataclass(frozen=True, slots=True)
@@ -406,8 +409,11 @@ def left_ideal_rows(g: Icosian) -> list[tuple[int, ...]]:
 
 
 def left_divides(d: Icosian, x: Icosian) -> bool:
-    """d^-1 x in I."""
-    return Icosian.from_quat(d.quat().inverse() * x.quat()) is not None
+    """d^-1 x in I, i.e. nr(d) divides every o-coordinate of conj(d) x."""
+    if d.is_zero():
+        raise DomainError("zero icosian divides nothing")
+    n = d.nr()
+    return all(n.divides(c) for c in (d.conj() * x).coords())
 
 
 def glcd(p: Icosian, beta: OInt) -> Icosian:
@@ -422,30 +428,22 @@ def glcd(p: Icosian, beta: OInt) -> Icosian:
     mod = right_ideal([p, Icosian.from_o(beta)])
     idx = mod.index()
     v = isqrt(idx)
-    assert v * v == idx, "right-ideal index must be a square"
+    if v * v != idx:
+        raise AssertionError("right-ideal index must be a square")
     # Some generator associate has Tr(nr) <= sqrt(5 v); enumerate that ball.
-    q8max = isqrt(5 * v)
-    if q8max * q8max < 5 * v:
-        q8max += 1
+    # Any member of mod with N(nr) = v generates it: its right ideal lies in
+    # mod and has the same index v^2.
+    q8max = 1 + isqrt(5 * v - 1)  # ceil(sqrt(5 v))
     gram = gram_of_basis(TRACE_GRAM, mod.rows)
     cands = []
     for coeffs, val in enumerate_form(gram, 2 * q8max, equal=False):
         cand = Icosian(_apply8(coeffs, mod.rows))
         if cand.nr().abs_norm() == v:
             cands.append((val, _sign_canonical(cand.zc)))
-    cands.sort()
-    best = None
-    best_val = None
-    for val, zc in cands:
-        if best_val is not None and val > best_val:
-            break
-        cand = Icosian(zc)
-        if right_ideal([cand]).rows == mod.rows:
-            if best is None or zc < best:
-                best = zc
-                best_val = val
-    assert best is not None, "principal generator must exist (class number one)"
-    return Icosian(best)
+    best = Icosian(min(cands)[1]) if cands else None
+    if best is None or right_ideal([best]).rows != mod.rows:
+        raise AssertionError("principal generator must exist (class number one)")
+    return best
 
 
 def _sign_canonical(zc) -> tuple[int, ...]:

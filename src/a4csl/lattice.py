@@ -18,7 +18,7 @@ from math import lcm
 from .errors import DomainError
 from .field import KNum, gauss_jordan
 from .hnf import hnf_square, diagonal_product, intersect_rows, left_kernel, contains as hnf_contains
-from .icosian import ZB_ICO, Icosian, Rank8Module, _apply8
+from .icosian import ZB_ICO, Icosian, Rank8Module
 from .quaternion import Quat
 
 L_BASIS = (
@@ -183,14 +183,9 @@ def dual_L() -> tuple[tuple[Fraction, ...], ...]:
 
 
 def module_to_L(mod: Rank8Module) -> SublatticeL:
-    """Intersection of a full rank-8 submodule of I with L, in L-coordinates."""
-    rows = list(mod.rows) + [list(r) for r in B_ZC]
-    kernel = left_kernel(rows)
-    gens = []
-    for c in kernel:
-        coords = int_L_coords(Icosian(_apply8(c[:8], mod.rows)))
-        assert coords is not None, "kernel vector must land in L"
-        gens.append(coords)
+    """Intersection of a full rank-8 submodule of I with L, in L-coordinates:
+    c[:4] over the left kernel c of B_ZC + mod.rows (sum c_i b_i lies in mod)."""
+    gens = [c[:4] for c in left_kernel(list(B_ZC) + list(mod.rows))]
     if len(gens) < 4:
         raise DomainError("module meets L in rank < 4")
     return SublatticeL.from_integer_rows(gens)

@@ -144,8 +144,11 @@ GOLDEN = Path(__file__).parent / "golden"
         (["census", "--nmax", "8"], "census_nmax8.csv", 0),
         (["--budget", "2000", "census", "--nmax", "9"], "census_nmax9_budget2000.csv", 4),
         (["selftest"], "selftest.txt", 0),
+        (["--output", "json", "equal", "(t,2*t,0,0)", "(1+t,t,t,1)"], "equal_worked.json", 0),
+        (["--output", "json", "csl", "(1+t,t,t,1)"], "csl_1tt1.json", 0),
+        (["--output", "json", "rot", "(t,2*t,0,0)"], "rot_worked.json", 0),
     ],
-    ids=["enumerate10", "census8", "census9-budget2000", "selftest"],
+    ids=["enumerate10", "census8", "census9-budget2000", "selftest", "equal", "csl", "rot"],
 )
 def test_golden_output(capsys, argv, name, code):
     got_code, out, _ = run(capsys, *argv)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import DomainError
 from a4csl.hnf import (
@@ -100,3 +101,43 @@ def test_contains():
     assert contains(h, [2, 4])
     assert not contains(h, [1, 0])
     assert contains(h, [0, 0])
+
+
+def _meet_by_kernel(a, b):
+    """A n B the long way: the kernel combinations c of a + b, applied to a."""
+    n = len(a[0])
+    gens = [
+        [sum(c[i] * a[i][j] for i in range(len(a))) for j in range(n)]
+        for c in left_kernel(list(a) + list(b))
+    ]
+    return hnf(gens)
+
+
+def _rows(n):
+    row = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    return st.lists(row, min_size=1, max_size=6)
+
+
+@st.composite
+def _meet_case(draw):
+    n = draw(st.integers(1, 5))
+    a, b = draw(_rows(n)), draw(_rows(n))
+    # a unimodular mix of the rows of a: elementary additions, then a permutation
+    mixed = [list(r) for r in a]
+    for i, j, c in draw(st.lists(st.tuples(
+        st.integers(0, len(a) - 1), st.integers(0, len(a) - 1), st.integers(-3, 3)
+    ), max_size=12)):
+        if i != j:
+            mixed[i] = [x + c * y for x, y in zip(mixed[i], mixed[j])]
+    return a, b, draw(st.permutations(mixed))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_meet_case())
+def test_intersect_rows_matches_kernel_route_and_ignores_mixing(case):
+    a, b, mixed = case
+    meet = intersect_rows(a, b)
+    assert meet == _meet_by_kernel(a, b)
+    assert intersect_rows(mixed, b) == meet
+    assert intersect_rows(b, a) == meet
+    assert hnf(meet) == meet
