@@ -64,11 +64,12 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
 def cmd_rot(args) -> int:
     q = _parse_icosian(args.q, args.coords)
     rot = rotation_of(q)
-    payload = {"schema": SCHEMA, "primitive": q.is_primitive(), "admissible": True}
+    primitive = q.is_primitive()
+    payload = {"schema": SCHEMA, "primitive": primitive, "admissible": True}
     payload.update(rot.to_json())
     lines = [
         f"q         = {rot.q}",
-        f"primitive = {str(q.is_primitive()).lower()}",
+        f"primitive = {str(primitive).lower()}",
         f"admissible= true",
         f"den       = {rot.den}",
         f"sigma     = {rot.sigma}",

@@ -12,6 +12,10 @@ equal_csl implements the arithmetic criterion for two rotations to share
 one CSL: equal balanced norms plus equality of the right ideals
 p I + (den/c) I, where c divides out one ramified prime when 5 | Sigma.
 symmetry_related tests rI == sI by integer left division in I.
+
+Nothing here re-derives den, alpha or Sigma: the entry points take them
+from icosian._balance, after icosian._require_primitive or after reducing
+q to its primitive part (_balanced_part).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import DomainError
 from .field import OInt, SQRT5, unit_normalize
@@ -27,7 +30,9 @@ from .hnf import left_kernel
 from .icosian import (
     Icosian,
     Rank8Module,
-    extension,
+    _balance,
+    _require_primitive,
+    den,
     left_ideal_rows,
     right_ideal,
     same_right_ideal,
@@ -87,28 +92,31 @@ def _image_rows(q: Icosian, conjugate_argument: bool = False) -> list[tuple[int,
     return rows
 
 
+def _balanced_part(q: Icosian) -> tuple[Icosian, Icosian, OInt, int, int]:
+    """(p, alpha p, alpha, sigma, den) for the primitive part p of q."""
+    if q.is_zero():
+        raise DomainError("zero defines no coincidence isometry")
+    p = q.primitive_part()
+    d, alpha, sig = _balance(p)
+    return p, p.scale_o(alpha), alpha, sig, d
+
+
+def _matrix(rows, s: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The isometry matrix (1/s) rows^T, checked to preserve the Gram form."""
+    if not rows_preserve_gram(rows, s):
+        raise AssertionError("isometry matrix must preserve the Gram form")
+    return tuple(tuple(Fraction(rows[j][i], s) for j in range(4)) for i in range(4))
+
+
 def rotation_of(q: Icosian) -> CoincidenceRotation:
     """The coincidence rotation defined by q (reduced to its primitive part).
 
     Raises DomainError when the primitive part is not admissible, i.e. the
     denominator is not a positive integer.
     """
-    if q.is_zero():
-        raise DomainError("zero defines no rotation")
-    p = q.primitive_part()
-    n = p.nr().abs_norm()
-    d = isqrt(n)
-    if d * d != n:
-        raise DomainError("not a coincidence rotation: denominator is irrational")
-    q_alpha, alpha = extension(p)
-    sigma = sigma_index(p)
-    rows = _image_rows(q_alpha)
-    if not rows_preserve_gram(rows, sigma):
-        raise AssertionError("rotation matrix must preserve the Gram form")
-    matrix = tuple(
-        tuple(Fraction(rows[j][i], sigma) for j in range(4)) for i in range(4)
-    )
-    return CoincidenceRotation(q=p, q_alpha=q_alpha, alpha=alpha, matrix=matrix, sigma=sigma, den=d)
+    p, q_alpha, alpha, sig, d = _balanced_part(q)
+    matrix = _matrix(_image_rows(q_alpha), sig)
+    return CoincidenceRotation(q=p, q_alpha=q_alpha, alpha=alpha, matrix=matrix, sigma=sig, den=d)
 
 
 def _intersection_from_rows(rows, d: int, expected_index: int) -> SublatticeL:
@@ -151,27 +159,22 @@ def sigma(q: Icosian) -> int:
     return sigma_index(q)
 
 
-def _require_primitive_admissible(p: Icosian, name: str) -> None:
-    if p.is_zero():
-        raise DomainError(f"{name} is zero")
-    if not p.is_primitive():
-        raise DomainError(f"{name} must be primitive")
-    if not p.is_admissible():
-        raise DomainError(f"{name} must be admissible")
+def _criterion_beta(p: Icosian) -> OInt:
+    """den/c for p, which must be primitive and admissible (DomainError
+    otherwise); c = sqrt5 iff 5 | sigma."""
+    _require_primitive(p)
+    d, _alpha, sig = _balance(p)
+    if sig % 5:
+        return OInt(d, 0)
+    if d % 5:
+        raise AssertionError("5 | sigma forces 5 | den")
+    return OInt(d // 5, 0) * SQRT5
 
 
 def criterion_ideal(p: Icosian) -> Rank8Module:
     """The right ideal p I + (den/c) I used by the CSL equality criterion;
     c = sqrt5 when the coincidence index is divisible by 5, else c = 1."""
-    d = isqrt(p.nr().abs_norm())
-    sig = sigma_index(p)
-    if sig % 5 == 0:
-        if d % 5:
-            raise AssertionError("5 | sigma forces 5 | den")
-        beta = OInt(d // 5, 0) * SQRT5
-    else:
-        beta = OInt(d, 0)
-    return right_ideal([p, Icosian.from_o(beta)])
+    return right_ideal([p, Icosian.from_o(_criterion_beta(p))])
 
 
 def equal_csl(p1: Icosian, p2: Icosian) -> bool:
@@ -182,14 +185,14 @@ def equal_csl(p1: Icosian, p2: Icosian) -> bool:
     condition (literal equality vs equality up to units) would differ are
     logged at DEBUG level.
     """
-    _require_primitive_admissible(p1, "p1")
-    _require_primitive_admissible(p2, "p2")
+    beta1, beta2 = _criterion_beta(p1), _criterion_beta(p2)
     n1, n2 = p1.nr(), p2.nr()
-    b1 = unit_normalize(n1)[0]
-    b2 = unit_normalize(n2)[0]
-    if b1 != b2:
+    if unit_normalize(n1)[0] != unit_normalize(n2)[0]:
         return False
-    ideals_equal = criterion_ideal(p1).rows == criterion_ideal(p2).rows
+    ideals_equal = (
+        right_ideal([p1, Icosian.from_o(beta1)]).rows
+        == right_ideal([p2, Icosian.from_o(beta2)]).rows
+    )
     if n1 != n2 and ideals_equal:
         log.debug(
             "norm readings differ: nr(p1)=%s, nr(p2)=%s are associates, not equal",
@@ -201,12 +204,9 @@ def equal_csl(p1: Icosian, p2: Icosian) -> bool:
 
 def sufficient_equal_lemma(p1: Icosian, p2: Icosian) -> bool:
     """The simpler sufficient condition with c = 1 (always implies equal_csl)."""
-    _require_primitive_admissible(p1, "p1")
-    _require_primitive_admissible(p2, "p2")
+    d1, d2 = den(p1), den(p2)
     if unit_normalize(p1.nr())[0] != unit_normalize(p2.nr())[0]:
         return False
-    d1 = isqrt(p1.nr().abs_norm())
-    d2 = isqrt(p2.nr().abs_norm())
     i1 = right_ideal([p1, Icosian.from_int(d1)])
     i2 = right_ideal([p2, Icosian.from_int(d2)])
     return i1.rows == i2.rows
@@ -214,36 +214,22 @@ def sufficient_equal_lemma(p1: Icosian, p2: Icosian) -> bool:
 
 def symmetry_related(r: Icosian, s: Icosian) -> bool:
     """Whether the rotations differ by a rotation symmetry of L (rI == sI)."""
-    if r.is_zero() or s.is_zero():
-        raise DomainError("symmetry test needs nonzero icosians")
-    if not (r.is_primitive() and s.is_primitive()):
-        raise DomainError("symmetry test needs primitive icosians")
+    _require_primitive(r)
+    _require_primitive(s)
     return same_right_ideal(r, s)
 
 
 def reflection_matrix(q: Icosian) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of the orientation-reversing map x -> q conj(x) twist(q) / den,
     canonicalised through the extension like rotation_of."""
-    p = q.primitive_part()
-    n = p.nr().abs_norm()
-    d = isqrt(n)
-    if d * d != n:
-        raise DomainError("not a coincidence isometry: denominator is irrational")
-    q_alpha, _alpha = extension(p)
-    sig = sigma_index(p)
-    rows = _image_rows(q_alpha, conjugate_argument=True)
-    return tuple(tuple(Fraction(rows[j][i], sig) for j in range(4)) for i in range(4))
+    _p, q_alpha, _alpha, sig, _d = _balanced_part(q)
+    return _matrix(_image_rows(q_alpha, conjugate_argument=True), sig)
 
 
 def reflection_csl(q: Icosian) -> SublatticeL:
     """CSL of the orientation-reversing isometry x -> q conj(x) twist(q)/den."""
-    p = q.primitive_part()
-    _require_primitive_admissible(p, "q")
-    q_alpha, _alpha = extension(p)
-    sig = sigma_index(p)
-    return _intersection_from_rows(
-        _image_rows(q_alpha, conjugate_argument=True), sig, sig
-    )
+    _p, q_alpha, _alpha, sig, _d = _balanced_part(q)
+    return _intersection_from_rows(_image_rows(q_alpha, conjugate_argument=True), sig, sig)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ equality, sums and indices canonical.  Left division is integer: d^-1 x
 lies in I iff nr(d) divides every o-coordinate of conj(d) x.  glcd(p, beta)
 is a generator of p*I + beta*I (class number one guarantees one exists):
 the least short vector of that module whose norm matches its index.
+
+Validation and balancing live here once: _require_primitive rejects zero
+and imprimitive input, and _balance turns a primitive q into its balanced
+data (den, alpha, sigma), rejecting q unless it is admissible.  den,
+extension, sigma_index and the csl entry points all go through them.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .field import (
 )
 from .hnf import diagonal_product, hnf_square, contains as hnf_contains
 from .quaternion import Quat
-from .shortvec import enumerate_form, gram_of_basis
+from .shortvec import enumerate_form, eval_form, gram_of_basis
 
 _H = Fraction(1, 2)
 
@@ -150,27 +155,14 @@ class Icosian:
         return self + self.twist()
 
     def nr(self) -> OInt:
-        c = self.coords()
-        total = ZERO_O
-        for i in range(4):
-            ci = c[i]
-            if ci.is_zero():
-                continue
-            total = total + ci * ci
-            for j in range(i + 1, 4):
-                if not c[j].is_zero():
-                    total = total + _TRG4[i][j] * ci * c[j]
-        return total
+        z = self.zc
+        return OInt(eval_form(NORM_A_GRAM, z) // 2, eval_form(NORM_B_GRAM, z) // 2)
 
     def tr_q(self) -> OInt:
         total = ZERO_O
         for ci, t in zip(self.coords(), _TR4):
             total = total + ci * t
         return total
-
-    def trace_norm(self) -> int:
-        """Tr(nr(q)) = nr(q) + nr(q)', the positive definite Z^8 form."""
-        return self.nr().trace()
 
     def is_zero(self) -> bool:
         return not any(self.zc)
@@ -243,11 +235,8 @@ _MUL = tuple(
 _TW8 = tuple(_zc_of_quat_strict(zb.twist()) for zb in ZBASIS_QUATS)
 _CJ8 = tuple(_zc_of_quat_strict(zb.conj()) for zb in ZBASIS_QUATS)
 
-_TRG4 = [[None] * 4 for _ in range(4)]
-for _i in range(4):
-    for _j in range(4):
-        _TRG4[_i][_j] = (BASIS[_i] * BASIS[_j].conj()).tr().to_oint()
-    assert BASIS[_i].nr() == KNum.of(1)
+for _b in BASIS:
+    assert _b.nr() == KNum.of(1)
 _TR4 = tuple(b.tr().to_oint() for b in BASIS)
 
 ZB_ICO = tuple(Icosian(tuple(int(i == j) for j in range(8))) for i in range(8))
@@ -277,17 +266,36 @@ def is_admissible(q: Icosian) -> bool:
     return q.is_admissible()
 
 
+def _require_primitive(q: Icosian) -> None:
+    """Raise DomainError unless q is nonzero and primitive."""
+    if q.is_zero():
+        raise DomainError("zero icosian defines no coincidence isometry")
+    if not q.is_primitive():
+        raise DomainError(f"{q} is not primitive")
+
+
+def _balance(p: Icosian) -> tuple[int, OInt, int]:
+    """(den, alpha, sigma) of a primitive icosian p: den = sqrt N(nr p),
+    sigma = lcm(nr p, nr p') and alpha = sqrt(sigma / nr p), so that
+    nr(alpha p) = sigma.  DomainError unless p is admissible."""
+    m = p.nr()
+    n = m.abs_norm()
+    d = isqrt(n)
+    if d * d != n:
+        raise DomainError(f"not a coincidence isometry: the denominator sqrt({n}) is irrational")
+    lam = lcm_o(m, m.conj())
+    if lam.b != 0 or lam.a <= 0:
+        raise AssertionError(f"lcm of admissible norms must be rational: {lam}")
+    alpha = sqrt_o(lam.exact_div(m))
+    if alpha is None:
+        raise AssertionError("quotient of standardised lcm must be a square")
+    return d, alpha, lam.a
+
+
 def den(q: Icosian) -> int:
     """The denominator |q q~| of a primitive admissible icosian."""
-    if q.is_zero():
-        raise DomainError("zero icosian has no denominator")
-    if not q.is_primitive():
-        raise DomainError("den requires a primitive icosian")
-    n = q.nr().abs_norm()
-    r = isqrt(n)
-    if r * r != n:
-        raise DomainError("icosian is not admissible (norm of nr is not a square)")
-    return r
+    _require_primitive(q)
+    return _balance(q)[0]
 
 
 def extension(q: Icosian) -> tuple[Icosian, OInt]:
@@ -297,35 +305,15 @@ def extension(q: Icosian) -> tuple[Icosian, OInt]:
     the quotient an exact square in o and nr(alpha_q * q) a positive
     rational integer.
     """
-    if q.is_zero():
-        raise DomainError("cannot extend zero")
-    if not q.is_primitive():
-        raise DomainError("extension requires a primitive icosian")
-    if not q.is_admissible():
-        raise DomainError("extension requires an admissible icosian")
-    m = q.nr()
-    lam = lcm_o(m, m.conj())
-    if lam.b != 0 or lam.a <= 0:
-        raise AssertionError(f"lcm of admissible norms must be rational: {lam}")
-    alpha = sqrt_o(lam.exact_div(m))
-    if alpha is None:
-        raise AssertionError("quotient of standardised lcm must be a square")
+    _require_primitive(q)
+    alpha = _balance(q)[1]
     return q.scale_o(alpha), alpha
 
 
 def sigma_index(q: Icosian) -> int:
     """The coincidence index lcm(nr q, nr q') of a primitive admissible q."""
-    if q.is_zero():
-        raise DomainError("zero icosian has no index")
-    if not q.is_primitive():
-        raise DomainError("sigma requires a primitive icosian")
-    if not q.is_admissible():
-        raise DomainError("sigma requires an admissible icosian")
-    m = q.nr()
-    lam = lcm_o(m, m.conj())
-    if lam.b != 0 or lam.a <= 0:
-        raise AssertionError(f"lcm of admissible norms must be rational: {lam}")
-    return lam.a
+    _require_primitive(q)
+    return _balance(q)[2]
 
 
 def is_unit(q: Icosian) -> bool:

@@ -6,7 +6,7 @@ import pytest
 
 from a4csl.errors import DomainError
 from a4csl.field import OInt, TAU, lcm_o
-from a4csl.icosian import Icosian, to_icosian, unit_group
+from a4csl.icosian import Icosian, den, extension, sigma_index, to_icosian, unit_group
 from a4csl.lattice import (
     GRAM,
     SublatticeL,
@@ -17,6 +17,7 @@ from a4csl.lattice import (
 from a4csl.csl import (
     CslRecord,
     _image_rows,
+    criterion_ideal,
     csl_Lq,
     csl_ideal_form,
     csl_intersection,
@@ -71,23 +72,66 @@ def test_rotation_matrix_is_g_orthogonal():
 
 
 def test_integer_gram_check_catches_one_entry_changes():
-    """rotation_of checks R (2G) R^T == sigma^2 (2G) on the integer image
-    rows R; changing any one entry by +-1 breaks it, and is_g_orthogonal
-    on the rational matrix says the same.  (Always: a change in column k
-    could survive only if column k of R (2G) were -+e_j, but every column
-    c of R (2G) has c^T (2G)^-1 c = 2 sigma^2, and e_j has at most 6/5.)"""
+    """rotation_of and reflection_matrix check R (2G) R^T == sigma^2 (2G)
+    on the integer image rows R; changing any one entry by +-1 breaks it,
+    and is_g_orthogonal on the rational matrix says the same.  (Always: a
+    change in column k could survive only if column k of R (2G) were -+e_j,
+    but every column c of R (2G) has c^T (2G)^-1 c = 2 sigma^2, and e_j has
+    at most 6/5.)"""
     for q in [R_ICO, S_ICO, UNIT_HALF] + rand_admissible(100, 100):
         rot = rotation_of(q)
-        rows = _image_rows(rot.q_alpha)
-        assert rows_preserve_gram(rows, rot.sigma)
-        for j in range(4):
-            for k in range(4):
-                for delta in (1, -1):
-                    bad = [list(r) for r in rows]
-                    bad[j][k] += delta
-                    assert not rows_preserve_gram(bad, rot.sigma)
-                    mat = [[Fraction(bad[c][i], rot.sigma) for c in range(4)] for i in range(4)]
-                    assert not is_g_orthogonal(mat)
+        for reflect in (False, True):
+            rows = _image_rows(rot.q_alpha, conjugate_argument=reflect)
+            assert rows_preserve_gram(rows, rot.sigma)
+            for j in range(4):
+                for k in range(4):
+                    for delta in (1, -1):
+                        bad = [list(r) for r in rows]
+                        bad[j][k] += delta
+                        assert not rows_preserve_gram(bad, rot.sigma)
+                        mat = [[Fraction(bad[c][i], rot.sigma) for c in range(4)] for i in range(4)]
+                        assert not is_g_orthogonal(mat)
+
+
+BAD_INPUTS = {
+    "zero": Icosian.from_int(0),
+    "2R": R_ICO.scale_o(OInt(2, 0)),
+    "(1,t,0,0)": to_icosian(parse_quat("(1,t,0,0)")),
+}
+
+# The routes that reduce their argument to its primitive part first.
+PRIMITIVE_PART_ROUTES = {
+    "rotation_of": rotation_of,
+    "reflection_matrix": reflection_matrix,
+    "reflection_csl": reflection_csl,
+    "csl_record": csl_record,
+}
+VALIDATING_ROUTES = {
+    "den": den,
+    "extension": extension,
+    "sigma_index": sigma_index,
+    "sigma": sigma,
+    "criterion_ideal": criterion_ideal,
+    "equal_csl(q, R)": lambda q: equal_csl(q, R_ICO),
+    "equal_csl(R, q)": lambda q: equal_csl(R_ICO, q),
+    "sufficient_equal_lemma(q, R)": lambda q: sufficient_equal_lemma(q, R_ICO),
+    "sufficient_equal_lemma(R, q)": lambda q: sufficient_equal_lemma(R_ICO, q),
+}
+
+
+@pytest.mark.parametrize("route", list(VALIDATING_ROUTES) + list(PRIMITIVE_PART_ROUTES))
+@pytest.mark.parametrize("bad", list(BAD_INPUTS))
+def test_bad_input_raises_domain_error(route, bad):
+    """Zero, imprimitive and non-admissible input raise DomainError (never
+    AssertionError or ZeroDivisionError), except that the primitive-part
+    routes answer for 2R exactly what they answer for R."""
+    q = BAD_INPUTS[bad]
+    fn = VALIDATING_ROUTES.get(route) or PRIMITIVE_PART_ROUTES[route]
+    if bad == "2R" and route in PRIMITIVE_PART_ROUTES:
+        assert fn(q) == fn(R_ICO)
+        return
+    with pytest.raises(DomainError):
+        fn(q)
 
 
 def test_rotation_rejects_bad_input():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from a4csl.csl import rotation_of
 from a4csl.errors import DomainError
 from a4csl.field import OInt, TAU, lcm_o, unit_normalize
 from a4csl.icosian import (
@@ -23,6 +24,7 @@ from a4csl.icosian import (
     left_ideal_rows,
     right_ideal,
     same_right_ideal,
+    sigma_index,
     to_icosian,
     unit_group,
 )
@@ -124,7 +126,11 @@ def test_extension_examples():
 
 
 def test_extension_pair_relations():
-    for q in [R_ICO, S_ICO] + [rand_icosian() for _ in range(200)]:
+    wide = random.Random(2718)
+    extra = [Icosian.from_int(1), Icosian.from_o(TAU), R_ICO.twist(), S_ICO.conj()] + [
+        Icosian(tuple(wide.randint(-9, 9) for _ in range(8))) for _ in range(300)
+    ]
+    for q in [R_ICO, S_ICO] + [rand_icosian() for _ in range(200)] + extra:
         if q.is_zero() or not q.is_primitive():
             continue
         if not is_admissible(q):
@@ -133,6 +139,9 @@ def test_extension_pair_relations():
         m = q.nr()
         lam = lcm_o(m, m.conj())
         assert q_alpha.nr() == lam and lam.b == 0 and lam.a > 0
+        assert q_alpha.nr() == OInt(sigma_index(q), 0)
+        rot = rotation_of(q)
+        assert (rot.den, rot.sigma, rot.alpha) == (den(q), sigma_index(q), alpha)
         # twisting the input conjugates alpha, up to the sign convention
         t_alpha, t_a = extension(q.twist())
         assert t_a in (alpha.conj(), -alpha.conj())
