@@ -199,8 +199,10 @@ def norm_candidates(n: int) -> list[OInt]:
         for part in combo:
             m = m * part
         y = _norm_candidate(m)[0]
-        assert y.is_totally_positive()
-        assert lcm_o(y, y.conj()) == OInt(n, 0), f"candidate {y} has wrong lcm"
+        if not y.is_totally_positive():
+            raise AssertionError(f"candidate {y} is not totally positive")
+        if lcm_o(y, y.conj()) != OInt(n, 0):
+            raise AssertionError(f"candidate {y} has wrong lcm")
         out.append(y)
     out.sort(key=lambda v: (v.a, v.b))
     return out

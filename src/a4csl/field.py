@@ -446,7 +446,8 @@ def factor_o(x: OInt) -> OFactorization:
                 e += 1
             if e:
                 factors.append((pi, e, tag))
-    assert rem.is_unit()
+    if not rem.is_unit():
+        raise AssertionError(f"factoring {x} left the non-unit remainder {rem}")
     return OFactorization(unit=rem, factors=tuple(factors))
 
 

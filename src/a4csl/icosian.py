@@ -16,7 +16,8 @@ handled as rank-8 Z-modules in Hermite normal form, which makes ideal
 equality, sums and indices canonical.  Left division is integer: d^-1 x
 lies in I iff nr(d) divides every o-coordinate of conj(d) x.  glcd(p, beta)
 is a generator of p*I + beta*I (class number one guarantees one exists):
-the least short vector of that module whose norm matches its index.
+the least short vector of that module whose norm matches its index, found
+by a ball search on an LLL-reduced basis of the module's HNF rows.
 
 Validation and balancing live here once: _require_primitive rejects zero
 and imprimitive input, and _balance turns a primitive q into its balanced
@@ -44,7 +45,7 @@ from .field import (
 )
 from .hnf import diagonal_product, hnf_square, contains as hnf_contains
 from .quaternion import Quat
-from .shortvec import enumerate_form, eval_form, gram_of_basis
+from .shortvec import enumerate_form, eval_form, gram_of_basis, lll_reduce
 
 _H = Fraction(1, 2)
 
@@ -410,6 +411,8 @@ def glcd(p: Icosian, beta: OInt) -> Icosian:
     Unique up to right units; the returned representative is deterministic:
     among generators of minimal trace norm, the one whose coordinate vector
     is lexicographically smallest with first nonzero coordinate positive.
+    It is found by a ball search on an LLL-reduced basis of the module; the
+    order is defined on I-coordinates, so it does not depend on that basis.
     """
     if p.is_zero() or beta.is_zero():
         raise DomainError("glcd requires nonzero arguments")
@@ -422,10 +425,11 @@ def glcd(p: Icosian, beta: OInt) -> Icosian:
     # Any member of mod with N(nr) = v generates it: its right ideal lies in
     # mod and has the same index v^2.
     q8max = 1 + isqrt(5 * v - 1)  # ceil(sqrt(5 v))
-    gram = gram_of_basis(TRACE_GRAM, mod.rows)
+    basis = lll_reduce(mod.rows, TRACE_GRAM)
+    gram = gram_of_basis(TRACE_GRAM, basis)
     cands = []
     for coeffs, val in enumerate_form(gram, 2 * q8max, equal=False):
-        cand = Icosian(_apply8(coeffs, mod.rows))
+        cand = Icosian(_apply8(coeffs, basis))
         if cand.nr().abs_norm() == v:
             cands.append((val, _sign_canonical(cand.zc)))
     best = Icosian(min(cands)[1]) if cands else None

@@ -5,11 +5,14 @@ equal to (or at most) a target for each of k symmetric positive definite
 integer Gram matrices G_i at once, pruning on every form at every level.
 enumerate_form is its one-form case (an equality or a ball) and
 enumerate_two_forms its two-form equality case.  Each quadratic form is
-completed into a sum of weighted squares by an exact LDL decomposition over
-Fractions once per Gram matrix; the search itself runs on rescaled integers
-only, so the enumeration is exact and provably complete (no floating point,
-no epsilon).  In an equality search the last coordinate is solved for
-exactly instead of scanned.
+completed into a sum of weighted squares once per Gram matrix, by an exact
+LDL decomposition read off the integral Gram-Schmidt data (leading minors
+d_i and the integers lambda_ij of Cohen, GTM 138, Alg. 2.6.7); the search
+itself runs on rescaled integers only, so the enumeration is exact and
+provably complete (no floating point, no epsilon, no rationals).  In an
+equality search the last coordinate is solved for exactly instead of
+scanned.  lll_reduce runs the integral LLL on the same data, so that a ball
+search can walk a reduced basis instead of a raw one.
 
 Vectors come in +-pairs; exactly one representative per pair is produced
 (the one whose highest-index nonzero coordinate is positive).  The zero
@@ -18,9 +21,8 @@ vector is never produced.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import BudgetError, DomainError
@@ -36,31 +38,116 @@ class NodeBudget:
         self.used = 0
 
 
+def _gram_schmidt(gram, d, lam, k: int) -> None:
+    """Row k of the integral Gram-Schmidt data of a Gram matrix, given rows
+    0..k-1 (Cohen, GTM 138, Alg. 2.6.7): d[i] is the i-th leading principal
+    minor (d[0] = 1) and lam[k][j] = d[j+1] * mu_kj for j < k.  Every
+    division is exact.  Sets lam[k][:k] and d[k+1]; raises DomainError unless
+    d[k+1] > 0, i.e. unless the leading (k+1)-block is positive definite."""
+    gk, lk = gram[k], lam[k]
+    for j in range(k + 1):
+        u, lj = gk[j], lam[j]
+        for i in range(j):
+            u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+        if j < k:
+            lk[j] = u
+        elif u <= 0:
+            raise DomainError("form is not positive definite")
+        else:
+            d[k + 1] = u
+
+
+def lll_reduce(rows, gram) -> tuple[tuple[int, ...], ...]:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the integer
+    rows, under the positive definite integer form gram.
+
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7; Lenstra-Lenstra-Lovasz 1982):
+    only integers, with the Gram matrix of the current basis kept up to date
+    by the same row operations.  Raises DomainError if the rows are linearly
+    dependent or the form is not positive definite on their span.
+    """
+    b = [list(r) for r in rows]
+    n = len(b)
+    g = [list(r) for r in gram_of_basis(gram, b)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k: int, l: int) -> None:
+        # Size-reduce b_k against b_l: afterwards 2|lam[k][l]| <= d[l+1].
+        dl, lk, ll = d[l + 1], lam[k], lam[l]
+        if 2 * abs(lk[l]) > dl:
+            q = (2 * lk[l] + dl) // (2 * dl)
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            g[k] = [x - q * y for x, y in zip(g[k], g[l])]
+            for row in g:
+                row[k] -= q * row[l]
+            lk[l] -= q * dl
+            for i in range(l):
+                lk[i] -= q * ll[i]
+
+    def swap(k: int) -> None:
+        # Exchange b_{k-1} and b_k and update d and lam (Cohen's SWAPI).
+        b[k - 1], b[k] = b[k], b[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        lk, lk1 = lam[k], lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        mu = lk[k - 1]
+        nd = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, kmax + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - mu * t) // d[k]
+            li[k - 1] = (nd * t + mu * li[k]) // d[k + 1]
+        d[k] = nd
+
+    if n:
+        _gram_schmidt(g, d, lam, 0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            _gram_schmidt(g, d, lam, k)
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return tuple(tuple(r) for r in b)
+
+
 @lru_cache(maxsize=64)
 def _prepared(gram: tuple[tuple[int, ...], ...]):
     """LDL data rescaled to integers: weights W, row denominators UD,
     scaled off-diagonal rows UN and the global multiplier M with
     M * F(x) = sum_i W[i] * (x[i]*UD[i] + sum_{j>i} UN[i][j]*x[j])^2.
+
+    Read off the integral Gram-Schmidt data: the LDL weight of row i is
+    d[i+1] / d[i], and its off-diagonal entries are lam[j][i] / d[i+1].
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d: list[Fraction] = []
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = a[i][i] - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
-        if di <= 0:
-            raise DomainError("form is not positive definite")
-        d.append(di)
-        u[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            u[i][j] = (a[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))) / di
-    ud = [lcm(*(u[i][j].denominator for j in range(i, n))) for i in range(n)]
-    un = [
-        tuple(int(u[i][j] * ud[i]) if j > i else 0 for j in range(n))
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        _gram_schmidt(gram, d, lam, k)
+    ud = [
+        lcm(*(d[i + 1] // gcd(lam[j][i], d[i + 1]) for j in range(i + 1, n)))
         for i in range(n)
     ]
-    m = lcm(*(d[i].denominator * ud[i] * ud[i] for i in range(n)))
-    w = [m * d[i].numerator // (d[i].denominator * ud[i] * ud[i]) for i in range(n)]
+    un = [
+        tuple(lam[j][i] * ud[i] // d[i + 1] if j > i else 0 for j in range(n))
+        for i in range(n)
+    ]
+    # The weight d[i+1] / d[i] in lowest terms, over its row's ud^2.
+    gs = [gcd(d[i + 1], d[i]) for i in range(n)]
+    dens = [d[i] // gs[i] * ud[i] * ud[i] for i in range(n)]
+    m = lcm(*dens)
+    w = [m // dens[i] * (d[i + 1] // gs[i]) for i in range(n)]
     return tuple(w), tuple(ud), tuple(un), m
 
 

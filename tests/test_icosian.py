@@ -10,6 +10,7 @@ from a4csl.errors import DomainError
 from a4csl.field import OInt, TAU, lcm_o, unit_normalize
 from a4csl.icosian import (
     BASIS,
+    TRACE_GRAM,
     Icosian,
     Rank8Module,
     ZB_ICO,
@@ -29,6 +30,7 @@ from a4csl.icosian import (
     unit_group,
 )
 from a4csl.quaternion import Quat, parse_quat
+from a4csl.shortvec import enumerate_form, eval_form, gram_of_basis
 
 rng = random.Random(31337)
 
@@ -292,6 +294,35 @@ def test_left_division_refuses_zero_divisor():
     assert left_divides(R_ICO, Icosian.from_int(0))
     with pytest.raises(DomainError):
         same_right_ideal(Icosian.from_int(0), R_ICO)
+
+
+def _glcd_on_hnf_rows(p, beta):
+    """glcd's ball search walked on the raw HNF rows of p I + beta I, with
+    no basis reduction: the least (trace value, sign-canonical coordinates)
+    over the members of the ball whose nr has the module's norm."""
+    mod = right_ideal([p, Icosian.from_o(beta)])
+    v = isqrt(mod.index())
+    gram = gram_of_basis(TRACE_GRAM, mod.rows)
+    cands = []
+    for coeffs, val in enumerate_form(gram, 2 * (1 + isqrt(5 * v - 1)), equal=False):
+        zc = tuple(sum(c * row[k] for c, row in zip(coeffs, mod.rows)) for k in range(8))
+        assert val == eval_form(TRACE_GRAM, zc)
+        if Icosian(zc).nr().abs_norm() == v:
+            lead = next(x for x in zc if x)
+            cands.append((val, zc if lead > 0 else tuple(-x for x in zc)))
+    return Icosian(min(cands)[1])
+
+
+def test_glcd_matches_the_unreduced_basis_route():
+    """The reduced basis changes the walk, never the representative."""
+    glcd_rng = random.Random(1729)
+    cases = [(q, OInt(den(q), 0)) for q in (R_ICO, S_ICO)]
+    while len(cases) < 152:
+        p = Icosian(tuple(glcd_rng.randint(-3, 3) for _ in range(8)))
+        if not p.is_zero() and is_primitive(p) and is_admissible(p):
+            cases.append((p, OInt(den(p), 0)))
+    for p, beta in cases:
+        assert glcd(p, beta) == _glcd_on_hnf_rows(p, beta)
 
 
 GLCD_GOLDEN = json.loads((Path(__file__).parent / "golden" / "glcd.json").read_text())

@@ -1,14 +1,24 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import BudgetError, DomainError
-from a4csl.field import gauss_jordan
-from a4csl.icosian import NORM_A_GRAM, TRACE_GRAM
-from a4csl.shortvec import NodeBudget, enumerate_form, enumerate_two_forms, eval_form
+from a4csl.field import OInt, gauss_jordan
+from a4csl.hnf import hnf
+from a4csl.icosian import NORM_A_GRAM, TRACE_GRAM, Icosian, right_ideal
+from a4csl.shortvec import (
+    NodeBudget,
+    _prepared,
+    enumerate_form,
+    enumerate_two_forms,
+    eval_form,
+    gram_of_basis,
+    lll_reduce,
+)
 
 rng = random.Random(4181)
 
@@ -118,8 +128,9 @@ def test_one_per_pair_and_never_zero():
 
 
 def test_not_positive_definite_rejected():
-    with pytest.raises(DomainError):
-        list(enumerate_form(((1, 2), (2, 1)), 3))
+    for gram in (((1, 2), (2, 1)), ((0,),), ((1, 1), (1, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1))):
+        with pytest.raises(DomainError):
+            list(enumerate_form(gram, 3))
 
 
 def _nodes():
@@ -155,3 +166,155 @@ def test_budget_accumulates_across_calls():
     with pytest.raises(BudgetError):
         list(enumerate_form(TRACE_GRAM, 4, equal=False, budget=budget))
     assert budget.used == both
+
+
+# -- form preparation and LLL against a Fraction oracle ----------------------
+
+
+def _fraction_ldl(gram):
+    """G = U^T D U over Fractions, U unit upper triangular: (d, u)."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    d: list[Fraction] = []
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        di = a[i][i] - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
+        if di <= 0:
+            raise DomainError("form is not positive definite")
+        d.append(di)
+        u[i][i] = Fraction(1)
+        for j in range(i + 1, n):
+            u[i][j] = (a[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))) / di
+    return d, u
+
+
+def _prepared_oracle(gram):
+    """The (W, UD, UN, M) tuple of shortvec's form preparation, from the LDL
+    over Fractions."""
+    d, u = _fraction_ldl(gram)
+    n = len(gram)
+    ud = [lcm(*(u[i][j].denominator for j in range(i, n))) for i in range(n)]
+    un = [
+        tuple(int(u[i][j] * ud[i]) if j > i else 0 for j in range(n))
+        for i in range(n)
+    ]
+    m = lcm(*(d[i].denominator * ud[i] * ud[i] for i in range(n)))
+    w = [m * d[i].numerator // (d[i].denominator * ud[i] * ud[i]) for i in range(n)]
+    return tuple(w), tuple(ud), tuple(un), m
+
+
+def _integral_gram_schmidt(gram):
+    """Cohen's integral data from the LDL: the leading minors dm (dm[0] = 1)
+    and lam[k][j] = dm[j+1] * mu_kj, checked to be integers."""
+    d, u = _fraction_ldl(gram)
+    dm = [Fraction(1)]
+    for di in d:
+        dm.append(dm[-1] * di)
+    n = len(gram)
+    lam = [[dm[j + 1] * u[j][k] for j in range(k)] for k in range(n)]
+    assert all(v.denominator == 1 for v in dm) and all(v.denominator == 1 for row in lam for v in row)
+    return [int(v) for v in dm], [[int(v) for v in row] for row in lam]
+
+
+@st.composite
+def pd_grams(draw, max_dim=8):
+    """B^T B + D for an integer B and a positive diagonal D."""
+    n = draw(st.integers(1, max_dim))
+    b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return tuple(
+        tuple(sum(r[i] * r[j] for r in b) + (extra[i] if i == j else 0) for j in range(n))
+        for i in range(n)
+    )
+
+
+@st.composite
+def symmetric_matrices(draw, max_dim=6):
+    n = draw(st.integers(1, max_dim))
+    upper = {(i, j): draw(st.integers(-4, 6)) for i in range(n) for j in range(i, n)}
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+
+
+@st.composite
+def glcd_modules(draw):
+    """The HNF rows of p I + beta I, a module that glcd searches."""
+    p = Icosian(draw(st.tuples(*[st.integers(-3, 3)] * 8).filter(any)))
+    beta = OInt(draw(st.integers(1, 6)), draw(st.integers(0, 3)))
+    return right_ideal([p, Icosian.from_o(beta)]).rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pd_grams())
+def test_prepared_matches_fraction_ldl_on_pd_grams(gram):
+    assert _prepared(gram) == _prepared_oracle(gram)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(glcd_modules())
+def test_prepared_matches_fraction_ldl_on_glcd_grams(rows):
+    for gram in (TRACE_GRAM, NORM_A_GRAM, gram_of_basis(TRACE_GRAM, lll_reduce(rows, TRACE_GRAM))):
+        assert _prepared(gram) == _prepared_oracle(gram)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(symmetric_matrices())
+def test_prepared_rejects_what_the_oracle_rejects(gram):
+    try:
+        want = _prepared_oracle(gram)
+    except DomainError:
+        with pytest.raises(DomainError):
+            _prepared(gram)
+    else:
+        assert _prepared(gram) == want
+
+
+def _assert_lll_reduced(rows, gram):
+    dm, lam = _integral_gram_schmidt(gram_of_basis(gram, rows))
+    for k in range(1, len(rows)):
+        for j in range(k):
+            assert 2 * abs(lam[k][j]) <= dm[j + 1]
+        # Lovasz with delta = 3/4, on integers.
+        assert 4 * dm[k + 1] * dm[k - 1] >= 3 * dm[k] ** 2 - 4 * lam[k][k - 1] ** 2
+
+
+@st.composite
+def full_rank_bases(draw, max_dim=8):
+    """(rows, gram): a nonsingular integer basis of Z^n and a PD form."""
+    gram = draw(pd_grams(max_dim))
+    n = len(gram)
+    rows = draw(
+        st.lists(st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=n, max_size=n).filter(
+            lambda r: len(hnf(r)) == n
+        )
+    )
+    return rows, gram
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(full_rank_bases())
+def test_lll_reduce_random_bases(basis):
+    rows, gram = basis
+    out = lll_reduce(rows, gram)
+    assert hnf(out) == hnf(rows)
+    _assert_lll_reduced(out, gram)
+    assert lll_reduce(out, gram) == out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(glcd_modules())
+def test_lll_reduce_glcd_modules(rows):
+    out = lll_reduce(rows, TRACE_GRAM)
+    assert hnf(out) == [list(r) for r in rows]
+    _assert_lll_reduced(out, TRACE_GRAM)
+    assert lll_reduce(out, TRACE_GRAM) == out
+
+
+def test_lll_reduce_edge_cases():
+    assert lll_reduce([], ((1,),)) == ()
+    assert lll_reduce([(5,)], ((3,),)) == ((5,),)
+    # The classical example: a basis of Z^2 that reduces to unit vectors.
+    assert lll_reduce([(1, 0), (41, 1)], ((1, 0), (0, 1))) == ((1, 0), (0, 1))
+    with pytest.raises(DomainError):
+        lll_reduce([(1, 2), (2, 4)], ((1, 0), (0, 1)))
+    with pytest.raises(DomainError):
+        lll_reduce([(1, 0), (0, 1)], ((1, 2), (2, 1)))
