@@ -62,8 +62,8 @@ from .icosian import (
     NORM_A_GRAM,
     Rank8Module,
     TRACE_GRAM,
-    ZB_ICO,
     _apply8,
+    _left_rows,
     unit_right_mul_matrices,
 )
 from .lattice import phi_plus_image
@@ -424,7 +424,7 @@ def _norm_data(m: OInt, n: int):
         raise AssertionError("5 | sigma forces 5 | den")
     else:
         beta = Icosian.from_o(OInt(d // 5, 0) * SQRT5)
-    beta_rows = [(beta * zb).zc for zb in ZB_ICO]
+    beta_rows = _left_rows(beta.zc)
     repeated = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
     return alpha, beta_rows, unit_normalize(m)[0], repeated
 
@@ -449,7 +449,7 @@ def _class_csls(n: int, reps: list[Icosian]):
         lat = phi_plus_image(q.scale_o(alpha))
         if lat.index != n:
             raise DomainError(f"CSL index {lat.index} != {n} for {q}")
-        rows = Rank8Module.from_rows([(q * zb).zc for zb in ZB_ICO] + beta_rows).rows
+        rows = Rank8Module.from_rows(_left_rows(q.zc) + beta_rows).rows
         yield lat, (key, rows)
 
 

@@ -7,6 +7,10 @@ can be produced three ways -- direct intersection, the phi_plus image of
 the extension q_alpha, and (q_alpha I + I twist(q_alpha)) n L -- which
 must agree; the coincidence index is lcm(nr q, nr q').  The direct
 intersection and the ideal form each read L-coordinates off one left kernel.
+The image rows q b_j twist(q) are a quadratic form in the coordinates of q:
+they are read from a table of the 36 pair terms zb_i b_j twist(zb_k) +
+zb_k b_j twist(zb_i), built once and checked to lie in L, with no icosian
+products per rotation.
 
 equal_csl implements the arithmetic criterion for two rotations to share
 one CSL: equal balanced norms plus equality of the right ideals
@@ -23,15 +27,20 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 from .field import OInt, SQRT5, unit_normalize
 from .hnf import left_kernel
 from .icosian import (
+    ZB_ICO,
     Icosian,
     Rank8Module,
     _balance,
+    _combine,
     _require_primitive,
+    _sparse,
+    _split,
     den,
     left_ideal_rows,
     right_ideal,
@@ -79,17 +88,41 @@ class CoincidenceRotation:
         }
 
 
+# The coordinate pairs i <= k: q b twist(q) is sum_{i <= k} q_i q_k T_ik.
+_PAIRS = tuple((i, k) for i in range(8) for k in range(i, 8))
+
+
+@lru_cache(maxsize=2)
+def _image_table(conjugate_argument: bool):
+    """Row p, for (i, k) = _PAIRS[p]: the L-coordinates of
+    T_ik = zb_i b_j twist(zb_k) + zb_k b_j twist(zb_i) (the first term alone
+    when i == k), j = 0..3, one after the other (16 integers); b_j is
+    replaced by conj(b_j) when conjugate_argument.
+
+    All 288 terms lying in L proves that every image q b_j twist(q) does:
+    it is an integer combination of them.
+    """
+    args = [b.conj() if conjugate_argument else b for b in B_ICO]
+    table = []
+    for i, k in _PAIRS:
+        row = []
+        for b in args:
+            term = ZB_ICO[i] * b * ZB_ICO[k].twist()
+            if i != k:
+                term = term + ZB_ICO[k] * b * ZB_ICO[i].twist()
+            coords = int_L_coords(term)
+            if coords is None:
+                raise AssertionError("conjugated image must stay in L")
+            row.extend(coords)
+        table.append(row)
+    return _sparse(table)
+
+
 def _image_rows(q: Icosian, conjugate_argument: bool = False) -> list[tuple[int, ...]]:
     """Integer L-coordinates of q * b_j * twist(q) (or q * conj(b_j) * twist(q))."""
-    tw = q.twist()
-    rows = []
-    for b in B_ICO:
-        arg = b.conj() if conjugate_argument else b
-        coords = int_L_coords(q * arg * tw)
-        if coords is None:
-            raise AssertionError("conjugated image must stay in L")
-        rows.append(coords)
-    return rows
+    z = q.zc
+    quad = [z[i] * z[k] for i, k in _PAIRS]
+    return _split(_combine(quad, _image_table(conjugate_argument), 16), 4)
 
 
 def _balanced_part(q: Icosian) -> tuple[Icosian, Icosian, OInt, int, int]:

@@ -310,7 +310,12 @@ def unit_normalize(x: OInt) -> tuple[OInt, int, int]:
 
 def _round_nearest(p: int, q: int) -> int:
     """Round p/q to the nearest integer (ties to even, q may be negative)."""
-    return round(Fraction(p, q))
+    if q < 0:
+        p, q = -p, -q
+    r, m = divmod(p, q)
+    if 2 * m > q or (2 * m == q and r & 1):
+        r += 1
+    return r
 
 
 def _nearest_quotient(x: OInt, y: OInt) -> OInt:

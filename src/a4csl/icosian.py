@@ -5,10 +5,13 @@ The o-module basis is the classical one:
     e1 = (1,0,0,0),  e2 = (0,1,0,0),
     e3 = (1,1,1,1)/2,  e4 = (1-tau, tau, 0, 1)/2,
 
-and the fixed Z-basis is (e1..e4, tau*e1..tau*e4) in that order.  An
-Icosian stores its integer coordinate 8-vector with respect to that
+and the fixed Z-basis zb_0..zb_7 = (e1..e4, tau*e1..tau*e4) in that order.
+An Icosian stores its integer coordinate 8-vector with respect to that
 Z-basis; multiplication, twist and conjugation act through precomputed
 integer structure tables, so bulk arithmetic never touches rationals.
+The Z-basis rows of q*I and I*q (the products q*zb_j and zb_j*q) are read
+straight from the product table _MUL, as one pass of _combine over the
+coordinates of q; Icosian.__mul__ is the oracle for that route.
 
 The 120 icosians of reduced norm 1 form the binary icosahedral group; the
 full unit group of I is {+-tau^k} times these.  Right ideals q*I are
@@ -45,7 +48,7 @@ from .field import (
 )
 from .hnf import diagonal_product, hnf_square, contains as hnf_contains
 from .quaternion import Quat
-from .shortvec import enumerate_form, eval_form, gram_of_basis, lll_reduce
+from .shortvec import _lll, enumerate_form, eval_form
 
 _H = Fraction(1, 2)
 
@@ -236,6 +239,45 @@ _MUL = tuple(
 _TW8 = tuple(_zc_of_quat_strict(zb.twist()) for zb in ZBASIS_QUATS)
 _CJ8 = tuple(_zc_of_quat_strict(zb.conj()) for zb in ZBASIS_QUATS)
 
+
+def _sparse(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each row of a dense integer table as its nonzero (position, entry) pairs."""
+    return tuple(tuple((k, t) for k, t in enumerate(row) if t) for row in rows)
+
+
+def _combine(coeffs, table, width: int) -> list[int]:
+    """sum_i coeffs[i] * table[i] for a _sparse table of the given row width:
+    the one kernel behind the rows of q*I and I*q, the rotation image rows
+    and phi_plus_image."""
+    out = [0] * width
+    for x, row in zip(coeffs, table):
+        if x:
+            for k, t in row:
+                out[k] += x * t
+    return out
+
+
+def _split(flat, width: int) -> list[tuple[int, ...]]:
+    return [tuple(flat[k : k + width]) for k in range(0, len(flat), width)]
+
+
+# Row i: zb_i * zb_j (_LEFT) and zb_j * zb_i (_RIGHT) for j = 0..7, one after
+# the other (64 integers), so that q * zb_j and zb_j * q are linear in q.
+_LEFT = _sparse([v for j in range(8) for v in _MUL[i][j]] for i in range(8))
+_RIGHT = _sparse([v for j in range(8) for v in _MUL[j][i]] for i in range(8))
+
+
+def _left_rows(zc) -> list[tuple[int, ...]]:
+    """The coordinates of q * zb_j, j = 0..7, for q with coordinates zc: the
+    Z-basis rows of q*I."""
+    return _split(_combine(zc, _LEFT, 64), 8)
+
+
+def _right_rows(zc) -> list[tuple[int, ...]]:
+    """The coordinates of zb_j * q, j = 0..7: the Z-basis rows of I*q."""
+    return _split(_combine(zc, _RIGHT, 64), 8)
+
+
 for _b in BASIS:
     assert _b.nr() == KNum.of(1)
 _TR4 = tuple(b.tr().to_oint() for b in BASIS)
@@ -343,9 +385,7 @@ def unit_group() -> tuple[Icosian, ...]:
 @lru_cache(maxsize=1)
 def unit_right_mul_matrices() -> tuple[tuple[tuple[int, ...], ...], ...]:
     """8x8 integer matrices of right multiplication by each norm-1 unit."""
-    return tuple(
-        tuple((zb * u).zc for zb in ZB_ICO) for u in unit_group()
-    )
+    return tuple(tuple(_right_rows(u.zc)) for u in unit_group())
 
 
 def same_right_ideal(r: Icosian, s: Icosian) -> bool:
@@ -386,15 +426,14 @@ def right_ideal(generators) -> Rank8Module:
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise DomainError("right ideal needs a nonzero generator")
-    rows = [(g * zb).zc for g in gens for zb in ZB_ICO]
-    return Rank8Module.from_rows(rows)
+    return Rank8Module.from_rows([row for g in gens for row in _left_rows(g.zc)])
 
 
 def left_ideal_rows(g: Icosian) -> list[tuple[int, ...]]:
     """Z-generators of I*g."""
     if g.is_zero():
         raise DomainError("left ideal needs a nonzero generator")
-    return [(zb * g).zc for zb in ZB_ICO]
+    return _right_rows(g.zc)
 
 
 def left_divides(d: Icosian, x: Icosian) -> bool:
@@ -425,13 +464,18 @@ def glcd(p: Icosian, beta: OInt) -> Icosian:
     # Any member of mod with N(nr) = v generates it: its right ideal lies in
     # mod and has the same index v^2.
     q8max = 1 + isqrt(5 * v - 1)  # ceil(sqrt(5 v))
-    basis = lll_reduce(mod.rows, TRACE_GRAM)
-    gram = gram_of_basis(TRACE_GRAM, basis)
+    basis, gram = _lll(mod.rows, TRACE_GRAM)
     cands = []
     for coeffs, val in enumerate_form(gram, 2 * q8max, equal=False):
-        cand = Icosian(_apply8(coeffs, basis))
-        if cand.nr().abs_norm() == v:
-            cands.append((val, _sign_canonical(cand.zc)))
+        # val = 2 Tr(nr) for nr = a + b tau, Tr(nr) = 2a + b.  nr is totally
+        # positive, so Tr(nr) >= 2 sqrt(N(nr)): N(nr) = v needs val^2 >= 16 v.
+        if val * val < 16 * v:
+            continue
+        zc = _apply8(coeffs, basis)
+        a = eval_form(NORM_A_GRAM, zc) // 2
+        b = val // 2 - 2 * a
+        if a * a + a * b - b * b == v:
+            cands.append((val, _sign_canonical(zc)))
     best = Icosian(min(cands)[1]) if cands else None
     if best is None or right_ideal([best]).rows != mod.rows:
         raise AssertionError("principal generator must exist (class number one)")

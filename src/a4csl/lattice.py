@@ -18,7 +18,7 @@ from math import lcm
 from .errors import DomainError
 from .field import KNum, gauss_jordan
 from .hnf import hnf_square, diagonal_product, intersect_rows, left_kernel, contains as hnf_contains
-from .icosian import ZB_ICO, Icosian, Rank8Module
+from .icosian import ZB_ICO, Icosian, Rank8Module, _combine, _sparse, _split
 from .quaternion import Quat
 
 L_BASIS = (
@@ -192,9 +192,9 @@ def module_to_L(mod: Rank8Module) -> SublatticeL:
 
 
 @lru_cache(maxsize=1)
-def _phi_plus_table() -> tuple[tuple[int, ...], ...]:
+def _phi_plus_table():
     """Row i: the L-coordinates of phi_plus(zb_i * zb_j), j = 0..7, one
-    after the other (32 integers).
+    after the other (32 integers), as a _sparse table.
 
     phi_plus and the product are Z-linear, so the L-coordinates of
     phi_plus(q * zb_j) are sum_i q_i * (entries 4j..4j+3 of row i).  All 64
@@ -208,21 +208,15 @@ def _phi_plus_table() -> tuple[tuple[int, ...], ...]:
             if coords is None:
                 raise AssertionError("phi_plus of a basis product escaped L")
             row.extend(coords)
-        table.append(tuple(row))
-    return tuple(table)
+        table.append(row)
+    return _sparse(table)
 
 
 def phi_plus_image(q: Icosian) -> SublatticeL:
     """The lattice phi_plus(q I) = {q x + twist(q x)}, as a sublattice of L."""
     if q.is_zero():
         raise DomainError("phi_plus image of zero is not a lattice")
-    out = [0] * 32
-    for x, row in zip(q.zc, _phi_plus_table()):
-        if x:
-            for k, t in enumerate(row):
-                if t:
-                    out[k] += x * t
-    return SublatticeL.from_integer_rows([out[k : k + 4] for k in range(0, 32, 4)])
+    return SublatticeL.from_integer_rows(_split(_combine(q.zc, _phi_plus_table(), 32), 4))
 
 
 def conjugation_matrix_L() -> tuple[tuple[int, ...], ...]:

@@ -66,6 +66,11 @@ def lll_reduce(rows, gram) -> tuple[tuple[int, ...], ...]:
     by the same row operations.  Raises DomainError if the rows are linearly
     dependent or the form is not positive definite on their span.
     """
+    return _lll(rows, gram)[0]
+
+
+def _lll(rows, gram):
+    """lll_reduce, plus the Gram matrix of the reduced basis under gram."""
     b = [list(r) for r in rows]
     n = len(b)
     g = [list(r) for r in gram_of_basis(gram, b)]
@@ -118,7 +123,7 @@ def lll_reduce(rows, gram) -> tuple[tuple[int, ...], ...]:
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return tuple(tuple(r) for r in b)
+    return tuple(tuple(r) for r in b), tuple(tuple(r) for r in g)
 
 
 @lru_cache(maxsize=64)

@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import DomainError
 from a4csl.field import OInt, TAU, lcm_o
 from a4csl.icosian import Icosian, den, extension, sigma_index, to_icosian, unit_group
 from a4csl.lattice import (
+    B_ICO,
     GRAM,
     SublatticeL,
     conjugation_matrix_L,
+    int_L_coords,
     is_g_orthogonal,
     rows_preserve_gram,
 )
@@ -321,3 +324,22 @@ def test_csl_record():
     assert data["sigma"] == 5 and data["den"] == 5 and len(data["hnf"]) == 16
     with pytest.raises(DomainError):
         CslRecord(rotation=rec.rotation, csl=SublatticeL.full())
+
+
+# Small coordinates, and coordinates past 2**63.
+_COORD = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(*[_COORD] * 8), st.booleans())
+def test_image_rows_match_per_basis_products(zc, reflect):
+    """The quadratic table route of the rotation (and reflection) image rows
+    against q * b_j * twist(q) (resp. q * conj(b_j) * twist(q)) by
+    Icosian.__mul__ and int_L_coords, for any icosian q."""
+    q = Icosian(zc)
+    want = []
+    for b in B_ICO:
+        coords = int_L_coords(q * (b.conj() if reflect else b) * q.twist())
+        assert coords is not None
+        want.append(coords)
+    assert _image_rows(q, conjugate_argument=reflect) == want

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import DomainError, ParseError
 from a4csl.field import (
@@ -12,6 +13,7 @@ from a4csl.field import (
     SPLIT,
     SQRT5,
     TAU,
+    _round_nearest,
     abs_norm,
     conj_k,
     factor_int,
@@ -245,3 +247,23 @@ def test_text_roundtrip():
         parse_knum("bogus")
     with pytest.raises(ParseError):
         parse_oint("1/2")
+
+
+_NUM = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
+_DEN = st.one_of(st.integers(-12, 12), st.integers(-(2**40), 2**40)).filter(bool)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_NUM, _DEN)
+def test_round_nearest_matches_fraction_round(p, q):
+    assert _round_nearest(p, q) == round(Fraction(p, q))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**20), st.booleans())
+def test_round_nearest_ties_go_to_even(m, h, negate):
+    """p/q = m + 1/2 exactly, with the sign carried by p or by q."""
+    p, q = 2 * h * m + h, 2 * h
+    if negate:
+        p, q = -p, -q
+    assert _round_nearest(p, q) == round(Fraction(p, q)) == m + (m & 1)

@@ -141,3 +141,30 @@ def test_intersect_rows_matches_kernel_route_and_ignores_mixing(case):
     assert intersect_rows(mixed, b) == meet
     assert intersect_rows(b, a) == meet
     assert hnf(meet) == meet
+
+
+@st.composite
+def unimodular_mixes(draw):
+    """(rows, mixed): mixed is rows under random elementary row operations
+    (adding a multiple of another row, negating a row) and a permutation."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-20, 20), st.integers(-(2**70), 2**70))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    mixed = [list(r) for r in rows]
+    ops = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1), st.integers(-5, 5))
+    for i, j, c in draw(st.lists(ops, max_size=30)):
+        if i == j:
+            mixed[i] = [-v for v in mixed[i]]
+        else:
+            mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+    order = draw(st.permutations(range(m)))
+    return rows, [mixed[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(unimodular_mixes())
+def test_hnf_unchanged_under_unimodular_row_mixing(case):
+    rows, mixed = case
+    h = hnf(rows)
+    assert hnf(mixed) == h
+    assert hnf(h) == h

@@ -4,6 +4,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a4csl.csl import rotation_of
 from a4csl.errors import DomainError
@@ -14,6 +15,9 @@ from a4csl.icosian import (
     Icosian,
     Rank8Module,
     ZB_ICO,
+    _apply8,
+    _left_rows,
+    _right_rows,
     den,
     extension,
     glcd,
@@ -28,6 +32,7 @@ from a4csl.icosian import (
     sigma_index,
     to_icosian,
     unit_group,
+    unit_right_mul_matrices,
 )
 from a4csl.quaternion import Quat, parse_quat
 from a4csl.shortvec import enumerate_form, eval_form, gram_of_basis
@@ -336,3 +341,31 @@ def test_glcd_representative_is_pinned(case):
     d = glcd(p, beta)
     assert d.zc == tuple(case["glcd"])
     assert right_ideal([d]).rows == right_ideal([p, Icosian.from_o(beta)]).rows
+
+
+# Small coordinates, and coordinates past 2**63.
+_COORD = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+_ZC = st.tuples(*[_COORD] * 8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ZC, _ZC)
+def test_product_rows_match_per_basis_products(zc, xc):
+    """The rows of q*I and I*q read from the structure tables, against
+    Icosian.__mul__ on each basis element; x in the span of the rows is q*x
+    (resp. x*q)."""
+    q, x = Icosian(zc), Icosian(xc)
+    left, right = _left_rows(zc), _right_rows(zc)
+    assert left == [(q * zb).zc for zb in ZB_ICO]
+    assert right == [(zb * q).zc for zb in ZB_ICO]
+    assert _apply8(xc, left) == (q * x).zc
+    assert _apply8(xc, right) == (x * q).zc
+    if any(zc):
+        assert left_ideal_rows(q) == right
+        assert right_ideal([q]).rows == Rank8Module.from_rows([(q * zb).zc for zb in ZB_ICO]).rows
+
+
+def test_unit_right_mul_matrices_match_per_basis_products():
+    assert unit_right_mul_matrices() == tuple(
+        tuple((zb * u).zc for zb in ZB_ICO) for u in unit_group()
+    )

@@ -12,6 +12,7 @@ from a4csl.hnf import hnf
 from a4csl.icosian import NORM_A_GRAM, TRACE_GRAM, Icosian, right_ideal
 from a4csl.shortvec import (
     NodeBudget,
+    _lll,
     _prepared,
     enumerate_form,
     enumerate_two_forms,
@@ -307,6 +308,15 @@ def test_lll_reduce_glcd_modules(rows):
     assert hnf(out) == [list(r) for r in rows]
     _assert_lll_reduced(out, TRACE_GRAM)
     assert lll_reduce(out, TRACE_GRAM) == out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(full_rank_bases())
+def test_lll_returns_the_gram_of_its_basis(basis):
+    rows, gram = basis
+    out, out_gram = _lll(rows, gram)
+    assert out == lll_reduce(rows, gram)
+    assert out_gram == gram_of_basis(gram, out)
 
 
 def test_lll_reduce_edge_cases():
