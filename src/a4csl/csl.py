@@ -25,7 +25,7 @@ q to its primitive part (_balanced_part).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +38,7 @@ from .icosian import (
     Rank8Module,
     _balance,
     _combine,
+    _left_rows,
     _require_primitive,
     _sparse,
     _split,
@@ -67,7 +68,10 @@ class CoincidenceRotation:
     coordinates of the image of the j-th basis vector.  It is built from
     the extension q_alpha (denominator sigma), which makes it invariant
     under unit rescalings of q; R(tau * q) = -R(q) as raw maps, and the
-    extension fixes that sign canonically.
+    extension fixes that sign canonically.  image_rows holds the checked
+    integer L-coordinates of the images q_alpha b_j twist(q_alpha) (sigma
+    times the columns of matrix), which csl_intersection reuses; to_json
+    leaves them out.
     """
 
     q: Icosian
@@ -76,6 +80,7 @@ class CoincidenceRotation:
     matrix: tuple[tuple[Fraction, ...], ...]
     sigma: int
     den: int
+    image_rows: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -148,8 +153,10 @@ def rotation_of(q: Icosian) -> CoincidenceRotation:
     denominator is not a positive integer.
     """
     p, q_alpha, alpha, sig, d = _balanced_part(q)
-    matrix = _matrix(_image_rows(q_alpha), sig)
-    return CoincidenceRotation(q=p, q_alpha=q_alpha, alpha=alpha, matrix=matrix, sigma=sig, den=d)
+    rows = tuple(_image_rows(q_alpha))
+    return CoincidenceRotation(
+        q=p, q_alpha=q_alpha, alpha=alpha, matrix=_matrix(rows, sig), sigma=sig, den=d, image_rows=rows
+    )
 
 
 def _intersection_from_rows(rows, d: int, expected_index: int) -> SublatticeL:
@@ -167,7 +174,7 @@ def _intersection_from_rows(rows, d: int, expected_index: int) -> SublatticeL:
 
 def csl_intersection(rot: CoincidenceRotation) -> SublatticeL:
     """L n R L by direct exact lattice intersection."""
-    return _intersection_from_rows(_image_rows(rot.q_alpha), rot.sigma, rot.sigma)
+    return _intersection_from_rows(rot.image_rows, rot.sigma, rot.sigma)
 
 
 def csl_Lq(rot: CoincidenceRotation) -> SublatticeL:
@@ -180,7 +187,7 @@ def csl_Lq(rot: CoincidenceRotation) -> SublatticeL:
 
 def csl_ideal_form(rot: CoincidenceRotation) -> SublatticeL:
     """The CSL as (q_alpha I + I twist(q_alpha)) n L."""
-    rows = list(right_ideal([rot.q_alpha]).rows) + left_ideal_rows(rot.q_alpha.twist())
+    rows = _left_rows(rot.q_alpha.zc) + left_ideal_rows(rot.q_alpha.twist())
     lat = module_to_L(Rank8Module.from_rows(rows))
     if lat.index != rot.sigma:
         raise DomainError(f"ideal-form index {lat.index} != sigma {rot.sigma}")

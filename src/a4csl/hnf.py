@@ -25,23 +25,28 @@ def hnf(rows) -> list[list[int]]:
         if r == m:
             break
         # Reduce column c below row r to a single nonzero entry via gcd steps.
-        while True:
-            nz = [i for i in range(r, m) if a[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][c]))
+        # The pivot is the first row of least nonzero |entry|; after a pass
+        # every remainder is smaller than the pivot, so the pass finds the
+        # next one among the rows below.
+        i0 = -1
+        for i in range(r, m):
+            v = abs(a[i][c])
+            if v and (i0 < 0 or v < best):
+                i0, best = i, v
+        while i0 >= 0:
             a[r], a[i0] = a[i0], a[r]
-            done = True
+            ar = a[r]
+            p = ar[c]
+            i0 = -1
             for i in range(r + 1, m):
-                if a[i][c]:
-                    q = a[i][c] // a[r][c]
-                    ai, ar = a[i], a[r]
+                ai = a[i]
+                if ai[c]:
+                    q = ai[c] // p
                     for j in range(c, n):
                         ai[j] -= q * ar[j]
-                    if ai[c]:
-                        done = False
-            if done:
-                break
+                    v = abs(ai[c])
+                    if v and (i0 < 0 or v < best):
+                        i0, best = i, v
         if r < m and a[r][c]:
             if a[r][c] < 0:
                 a[r] = [-x for x in a[r]]

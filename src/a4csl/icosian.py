@@ -22,10 +22,14 @@ is a generator of p*I + beta*I (class number one guarantees one exists):
 the least short vector of that module whose norm matches its index, found
 by a ball search on an LLL-reduced basis of the module's HNF rows.
 
-Validation and balancing live here once: _require_primitive rejects zero
-and imprimitive input, and _balance turns a primitive q into its balanced
-data (den, alpha, sigma), rejecting q unless it is admissible.  den,
-extension, sigma_index and the csl entry points all go through them.
+Validation and balancing live here once, as integer arithmetic on the
+coordinate vector: _require_primitive rejects zero and imprimitive input
+by the gcd of the 2x2 minors of the content ideal (_content_norm), and
+_balance turns a primitive q into its balanced data (den, alpha, sigma)
+from the two integer norm forms and one gcd, rejecting q unless it is
+admissible.  den, extension, sigma_index and the csl entry points all go
+through them.  content() keeps the Euclidean route in o for imprimitive
+input.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DomainError
 from .field import (
@@ -42,7 +46,6 @@ from .field import (
     ZERO_O,
     gauss_jordan,
     gcd_o,
-    lcm_o,
     sqrt_o,
     unit_normalize,
 )
@@ -182,12 +185,15 @@ class Icosian:
         return unit_normalize(g)[0]
 
     def is_primitive(self) -> bool:
-        return self.content().is_unit()
+        n = _content_norm(self.zc)
+        if n == 0:
+            raise DomainError("zero icosian has no content")
+        return n == 1
 
     def primitive_part(self) -> "Icosian":
-        g = self.content()
-        if g.is_unit():
+        if _content_norm(self.zc) == 1:
             return self
+        g = self.content()
         return Icosian.from_coords(tuple(c.exact_div(g) for c in self.coords()))
 
     def is_admissible(self) -> bool:
@@ -213,6 +219,26 @@ class Icosian:
         from .quaternion import format_quat
 
         return format_quat(self.quat())
+
+
+def _content_norm(zc) -> int:
+    """N(content(q)) from the coordinates, 0 for q = 0.
+
+    The o-coordinates x_i = a_i + b_i tau generate the content ideal, whose
+    Z-span {x_i, tau x_i} = {(a_i, b_i), (b_i, a_i + b_i)} has index
+    N(content) in Z^2: the gcd of its 2x2 minors.  Up to sign and Z-linear
+    combination these are a_i b_j - a_j b_i and a_i a_j + a_i b_j - b_i b_j
+    for i <= j (the mixed minor with i, j swapped is their difference).
+    """
+    g = 0
+    for i in range(4):
+        ai, bi = zc[i], zc[i + 4]
+        for j in range(i, 4):
+            aj, bj = zc[j], zc[j + 4]
+            g = gcd(g, ai * bj - aj * bi, ai * aj + ai * bj - bi * bj)
+            if g == 1:
+                return 1
+    return g
 
 
 def _apply8(x, mat) -> tuple[int, ...]:
@@ -313,26 +339,35 @@ def _require_primitive(q: Icosian) -> None:
     """Raise DomainError unless q is nonzero and primitive."""
     if q.is_zero():
         raise DomainError("zero icosian defines no coincidence isometry")
-    if not q.is_primitive():
+    if _content_norm(q.zc) != 1:
         raise DomainError(f"{q} is not primitive")
 
 
 def _balance(p: Icosian) -> tuple[int, OInt, int]:
     """(den, alpha, sigma) of a primitive icosian p: den = sqrt N(nr p),
     sigma = lcm(nr p, nr p') and alpha = sqrt(sigma / nr p), so that
-    nr(alpha p) = sigma.  DomainError unless p is admissible."""
+    nr(alpha p) = sigma.  DomainError unless p is admissible.
+
+    With m = nr p = A + B tau, N = N(m) and g = gcd(A, B): sigma = N / g and
+    alpha = sqrt(m' / g).  N is a square, so sqrt5 divides m to an even
+    power, a power of 5 that lies in g.  So m / g is prime to its conjugate:
+    a common prime would be sqrt5, or put a rational prime into m / g,
+    whose coefficients are coprime.  Hence gcd(m, m') = g up to a unit,
+    lcm(m, m') = N / g and sigma / m = m' / g.
+    """
     m = p.nr()
     n = m.abs_norm()
     d = isqrt(n)
     if d * d != n:
         raise DomainError(f"not a coincidence isometry: the denominator sqrt({n}) is irrational")
-    lam = lcm_o(m, m.conj())
-    if lam.b != 0 or lam.a <= 0:
-        raise AssertionError(f"lcm of admissible norms must be rational: {lam}")
-    alpha = sqrt_o(lam.exact_div(m))
+    g = gcd(m.a, m.b)
+    sig = n // g
+    alpha = sqrt_o(OInt((m.a + m.b) // g, -m.b // g))
     if alpha is None:
         raise AssertionError("quotient of standardised lcm must be a square")
-    return d, alpha, lam.a
+    if alpha * alpha * m != OInt(sig, 0):
+        raise AssertionError(f"alpha^2 nr(p) must be the rational lcm {sig}")
+    return d, alpha, sig
 
 
 def den(q: Icosian) -> int:

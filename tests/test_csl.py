@@ -343,3 +343,17 @@ def test_image_rows_match_per_basis_products(zc, reflect):
         assert coords is not None
         want.append(coords)
     assert _image_rows(q, conjugate_argument=reflect) == want
+
+
+def test_rotation_keeps_its_image_rows():
+    """The integer image rows kept on the rotation are those of q_alpha,
+    sigma times the columns of the matrix; they stay out of to_json and
+    equality."""
+    for q in [R_ICO, S_ICO, Icosian.from_int(1)] + rand_admissible(max_sigma=400, tries=300):
+        rot = rotation_of(q)
+        assert rot.image_rows == tuple(_image_rows(rot.q_alpha))
+        assert rot.image_rows == tuple(
+            tuple(int(rot.matrix[i][j] * rot.sigma) for i in range(4)) for j in range(4)
+        )
+        assert "image_rows" not in rot.to_json()
+        assert rot == rotation_of(q.scale_o(OInt(2, 0)))

@@ -125,28 +125,40 @@ def test_gcd_examples():
         gcd_o(OInt(0, 0), OInt(0, 0))
 
 
-def test_gcd_divides_and_lcm_product():
-    for _ in range(400):
-        x, y = rand_oint(), rand_oint()
-        if x.is_zero() or y.is_zero():
-            continue
-        g = gcd_o(x, y)
-        assert g.divides(x) and g.divides(y)
-        lc = lcm_o(x, y)
-        # g * lc == x*y up to a unit
-        assert unit_normalize(g * lc)[0] == unit_normalize(x * y)[0]
-        # any common divisor divides g
-        d = gcd_o(x + y, y)  # some common structure
-        assert gcd_o(g, d).divides(g)
+# Elements of o with small or huge (past 2**63) coefficients.
+_OCOEF = st.one_of(st.integers(-30, 30), st.integers(-(2**70), 2**70))
+_OINT = st.builds(OInt, _OCOEF, _OCOEF)
+_NONZERO_OINT = _OINT.filter(lambda x: not x.is_zero())
 
 
-def test_gcd_common_divisor_property():
-    for _ in range(200):
-        d, u, v = rand_oint(6), rand_oint(6), rand_oint(6)
-        if d.is_zero() or (u.is_zero() and v.is_zero()):
-            continue
-        g = gcd_o(d * u, d * v)
-        assert d.divides(g)
+def _associates(x, y):
+    return unit_normalize(x)[0] == unit_normalize(y)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_NONZERO_OINT, _NONZERO_OINT)
+def test_gcd_divides_and_lcm_product(x, y):
+    """gcd divides both arguments and is unit-normal; lcm is unit-normal, a
+    common multiple, and gcd * lcm is an associate of x * y."""
+    g, lc = gcd_o(x, y), lcm_o(x, y)
+    assert g.divides(x) and g.divides(y)
+    assert unit_normalize(g) == (g, 0, 1)
+    assert x.divides(lc) and y.divides(lc)
+    assert unit_normalize(lc) == (lc, 0, 1)
+    assert _associates(g * lc, x * y)
+    assert gcd_o(y, x) == g and lcm_o(y, x) == lc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_NONZERO_OINT, _OINT, _OINT)
+def test_gcd_common_divisor_property(d, u, v):
+    """Every common divisor d of d u and d v divides their gcd, and the gcd
+    is d gcd(u, v) up to a unit."""
+    if u.is_zero() and v.is_zero():
+        return
+    g = gcd_o(d * u, d * v)
+    assert d.divides(g)
+    assert _associates(g, d * gcd_o(u, v))
 
 
 def test_lcm_examples():
@@ -158,14 +170,12 @@ def test_lcm_examples():
         lcm_o(OInt(1, 0), OInt(0, 0))
 
 
-def test_lcm_of_conjugates_is_conjugation_fixed_up_to_tau_sign():
-    for _ in range(300):
-        x = rand_oint()
-        if x.is_zero():
-            continue
-        lc = lcm_o(x, x.conj())
-        y, _k, _s = unit_normalize(lc.conj())
-        assert y == lc  # the balanced value is fixed by ' up to the unit part
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_NONZERO_OINT)
+def test_lcm_of_conjugates_is_conjugation_fixed_up_to_tau_sign(x):
+    lc = lcm_o(x, x.conj())
+    y, _k, _s = unit_normalize(lc.conj())
+    assert y == lc  # the balanced value is fixed by ' up to the unit part
 
 
 def test_factor_examples():
@@ -240,9 +250,6 @@ def test_text_roundtrip():
     assert parse_oint("-t") == -TAU
     assert format_knum(KNum.of(0)) == "0"
     assert parse_knum("0") == KNum.of(0)
-    for _ in range(200):
-        x = rand_knum()
-        assert parse_knum(format_knum(x)) == x
     with pytest.raises(ParseError):
         parse_knum("bogus")
     with pytest.raises(ParseError):
@@ -267,3 +274,20 @@ def test_round_nearest_ties_go_to_even(m, h, negate):
     if negate:
         p, q = -p, -q
     assert _round_nearest(p, q) == round(Fraction(p, q)) == m + (m & 1)
+
+
+# Reduced fractions with small or huge numerators and denominators.
+_FRACTION = st.builds(
+    Fraction,
+    st.one_of(st.integers(-50, 50), st.integers(-(2**90), 2**90)),
+    st.one_of(st.integers(1, 12), st.integers(1, 2**40)),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_FRACTION, _FRACTION)
+def test_parse_knum_inverts_format_knum(a, b):
+    x = KNum(a, b)
+    text = format_knum(x)
+    assert parse_knum(text) == x
+    assert format_knum(parse_knum(text)) == text

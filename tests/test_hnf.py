@@ -168,3 +168,65 @@ def test_hnf_unchanged_under_unimodular_row_mixing(case):
     h = hnf(rows)
     assert hnf(mixed) == h
     assert hnf(h) == h
+
+
+def _hnf_by_min_key(rows):
+    """The HNF with its pivot found by min(key=abs) over a rescanned column,
+    the route the fused pivot search replaced."""
+    a = [list(r) for r in rows if any(r)]
+    if not a:
+        return []
+    m, n = len(a), len(a[0])
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if a[i][c]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(a[i][c]))
+            a[r], a[i0] = a[i0], a[r]
+            done = True
+            for i in range(r + 1, m):
+                if a[i][c]:
+                    q = a[i][c] // a[r][c]
+                    ai, ar = a[i], a[r]
+                    for j in range(c, n):
+                        ai[j] -= q * ar[j]
+                    if ai[c]:
+                        done = False
+            if done:
+                break
+        if r < m and a[r][c]:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+            p = a[r][c]
+            for i in range(r):
+                q = a[i][c] // p
+                if q:
+                    ai, ar = a[i], a[r]
+                    for j in range(c, n):
+                        ai[j] -= q * ar[j]
+            r += 1
+    return a[:r]
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Rows with small or huge entries, then zero rows and integer combinations
+    of the drawn rows (so the rank is often below the row count), shuffled."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    coeffs = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
+    for cs in draw(st.lists(coeffs, max_size=6)):
+        rows.append([sum(c * row[j] for c, row in zip(cs, rows)) for j in range(n)])
+    rows += [[0] * n] * draw(st.integers(0, 3))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(deficient_matrices())
+def test_hnf_matches_min_key_pivot_route(rows):
+    assert hnf(rows) == _hnf_by_min_key(rows)

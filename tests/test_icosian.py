@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from math import isqrt
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from a4csl.csl import rotation_of
 from a4csl.errors import DomainError
-from a4csl.field import OInt, TAU, lcm_o, unit_normalize
+from a4csl.field import OInt, TAU, lcm_o, sqrt_o, unit_normalize
 from a4csl.icosian import (
     BASIS,
     TRACE_GRAM,
@@ -16,6 +17,8 @@ from a4csl.icosian import (
     Rank8Module,
     ZB_ICO,
     _apply8,
+    _balance,
+    _content_norm,
     _left_rows,
     _right_rows,
     den,
@@ -369,3 +372,79 @@ def test_unit_right_mul_matrices_match_per_basis_products():
     assert unit_right_mul_matrices() == tuple(
         tuple((zb * u).zc for zb in ZB_ICO) for u in unit_group()
     )
+
+
+# The routes that _content_norm and _balance replaced, kept as oracles: the
+# content by Euclid in o, and sigma as the unit-normal lcm of nr p and nr p'.
+
+
+def _balance_by_lcm(p):
+    """(den, alpha, sigma) of a primitive p through lcm_o and sqrt_o."""
+    m = p.nr()
+    n = m.abs_norm()
+    d = isqrt(n)
+    if d * d != n:
+        raise DomainError(f"not a coincidence isometry: the denominator sqrt({n}) is irrational")
+    lam = lcm_o(m, m.conj())
+    if lam.b != 0 or lam.a <= 0:
+        raise AssertionError(f"lcm of admissible norms must be rational: {lam}")
+    alpha = sqrt_o(lam.exact_div(m))
+    if alpha is None:
+        raise AssertionError("quotient of standardised lcm must be a square")
+    return d, alpha, lam.a
+
+
+# A nonzero a + b tau, small or past 2**63.
+_SCALE = st.tuples(_COORD, _COORD).filter(any).map(lambda ab: OInt(*ab))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ZC, _SCALE)
+def test_content_norm_matches_euclid_content(zc, c):
+    """The gcd of the minors is N(content), for q and for c q."""
+    for q in (Icosian(zc), Icosian(zc).scale_o(c)):
+        if q.is_zero():
+            assert _content_norm(q.zc) == 0
+            with pytest.raises(DomainError, match="zero icosian has no content"):
+                q.is_primitive()
+            continue
+        g = q.content()
+        assert _content_norm(q.zc) == g.abs_norm()
+        assert q.is_primitive() == g.is_unit()
+        p = q.primitive_part()
+        assert p.is_primitive() and p.scale_o(g) == q
+
+
+@st.composite
+def _primitive_icosians(draw):
+    """The primitive part of c q for a random nonzero c, where q is a random
+    vector (rarely admissible), a box vector (admissible about one time in
+    ten) or r twist(r) s, which is admissible whenever s is, since
+    nr(r twist r) is the rational N(nr r)."""
+    kind = draw(st.integers(0, 2))
+    box = st.tuples(*[st.integers(-3, 3)] * 8)
+    if kind == 0:
+        q = Icosian(draw(_ZC))
+    elif kind == 1:
+        q = Icosian(draw(box))
+    else:
+        r = Icosian(draw(_ZC))
+        s = draw(st.sampled_from([Icosian.from_int(1), R_ICO, S_ICO, Icosian(draw(box))]))
+        q = r * r.twist() * s
+    q = q.scale_o(draw(_SCALE))
+    return None if q.is_zero() else q.primitive_part()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_primitive_icosians())
+def test_balance_matches_lcm_route(p):
+    if p is None:
+        return
+    try:
+        expected = _balance_by_lcm(p)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            _balance(p)
+        return
+    assert _balance(p) == expected
+
