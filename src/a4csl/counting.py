@@ -15,11 +15,17 @@ from one short-vector search each (class_reps_for_norm); the classes of
 norm pi^k are the products q*g of a class q of norm pi^(k-1) with a
 generator g that pi does not divide (non-backtracking walks on the
 Bruhat-Tits tree, so none repeats), and the classes of m are the products
-of one class per prime-power part.  Each product is scaled by a power of
-tau to reduced norm m and replaced by class_rep, the least vector of its
-orbit under the 120 norm-1 units: the representative the short-vector
-route picks.  Class counts are checked against the local ideal counts
-N(pi)^k + N(pi)^(k-1).
+of one class per prime-power part.  All products of m share one nr, so
+one power of tau, found once per norm, scales them to reduced norm m; each
+is then replaced by the least vector of its orbit under the 120 norm-1
+units, taken with its last nonzero coordinate positive (class_rep's form):
+the representative the short-vector route picks.  Class counts are checked
+against the local ideal counts N(pi)^k + N(pi)^(k-1).
+
+One packed kernel (_orbit_packing) computes the orbits for these
+representatives and for the dedup of the generator search: 60 units, one
+per +-pair, in 32-bit big-endian fields, with signs and minimum chosen by
+comparing bytes.
 
 census(n) takes each class q to its CSL, the phi_plus image of q_alpha =
 alpha q, and to its criterion ideal q I + beta I.  alpha, beta and the
@@ -32,12 +38,13 @@ count against f(n) and the criterion partition against the HNF partition.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import isqrt
-from operator import mul
+from operator import itemgetter, mul
+from struct import Struct
+from types import SimpleNamespace
 
 from .errors import BudgetError, DomainError
 from .field import (
@@ -226,10 +233,6 @@ def icosians_with_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[
     return out
 
 
-def _neg(zc):
-    return tuple(-v for v in zc)
-
-
 def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
     """One coordinate vector per right-ideal class with nr exactly m, by
     short-vector search over all icosians of that norm."""
@@ -243,68 +246,107 @@ def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple
                 continue  # imprimitive
             kept.append(zc)
         vecs = kept
-    mats = unit_right_mul_matrices()
+    # The search yields each +-pair once, last nonzero coordinate positive,
+    # which is the sign normalisation of the orbit members.
     seen: set[tuple[int, ...]] = set()
     reps = []
     for zc in vecs:
-        if zc in seen:
-            continue
-        reps.append(zc)
-        for mat in mats:
-            o = _apply8(zc, mat)
-            seen.add(o)
-            seen.add(_neg(o))
+        if zc not in seen:
+            reps.append(zc)
+            seen.update(_orbit(zc))
     return reps
 
 
-# The unit orbit of a vector is computed in one pass of big-integer
-# arithmetic: field 8t+k of _orbit_packing()[0][i] holds entry (i, k) of
-# the t-th unit matrix, _ORBIT_BITS bits wide, so sum(x_i * packs[i]) holds
-# every x*u at once; adding the bias (_ORBIT_HALF in every field) makes the
-# fields non-negative, and they are read back as unsigned 64-bit words.
-_ORBIT_BITS = 64
-_ORBIT_HALF = 1 << (_ORBIT_BITS - 1)
-_ORBIT_ZERO = (_ORBIT_HALF,) * 8
+# One kernel computes the unit orbit of a vector x, for class_rep and for
+# the dedup in class_reps_for_norm.  -1 is a unit and x*(-u) = -(x*u), so
+# the two units of a +-pair give the same sign-normalised member (last
+# nonzero coordinate positive): 60 units suffice, one per pair.  Unit t owns
+# a block of 16 fields of 32 bits, packed big-endian: the 8 coordinates of
+# x*u_t reversed, then forward.  packs[i] holds entry (i, k) of the t-th
+# matrix in both fields of coordinate k, so a = sum(x_i * packs[i]) holds
+# every x*u_t at once, and bias + a and bias - a (bias: 2^31 in every field)
+# hold them and their negatives in non-negative fields.  As bytes, blocks
+# then compare as their coordinates do lexicographically.  Of the two blocks
+# of a unit the larger has the larger reversed half, i.e. the positive last
+# nonzero coordinate; the least forward half of the 60 winners is the orbit
+# minimum, and only it is decoded.  XOR with the bias flips the top bit of
+# every field, which turns a biased field into the two's complement of its
+# coordinate.  Past the field limit both callers take the plain _apply8 route.
+_ORBIT_HALF = 1 << 31
 
 
 @lru_cache(maxsize=1)
-def _orbit_packing():
-    """(packs, bias, byte length, largest |coordinate| that fits a field)."""
-    mats = unit_right_mul_matrices()
-    nfields = 8 * len(mats)
+def _orbit_packing() -> SimpleNamespace:
+    """The packing of the 60 unit matrices (units, one per +-pair) and the
+    readers of its bytes; limit is the largest |coordinate| whose x*u fit."""
+    units, negated = [], set()
+    for mat in unit_right_mul_matrices():
+        if mat not in negated:
+            units.append(mat)
+            negated.add(tuple(tuple(-v for v in row) for row in mat))
+    nfields = 16 * len(units)
+
+    def place(f):
+        return 1 << (32 * (nfields - 1 - f))
+
     packs = tuple(
-        sum(mat[i][k] << (_ORBIT_BITS * (8 * t + k)) for t, mat in enumerate(mats) for k in range(8))
+        sum(
+            mat[i][k] * (place(16 * t + 7 - k) + place(16 * t + 8 + k))
+            for t, mat in enumerate(units)
+            for k in range(8)
+        )
         for i in range(8)
     )
-    bias = sum(_ORBIT_HALF << (_ORBIT_BITS * f) for f in range(nfields))
-    widest = max(sum(abs(mat[i][k]) for i in range(8)) for mat in mats for k in range(8))
-    return packs, bias, nfields * _ORBIT_BITS // 8, (_ORBIT_HALF - 1) // widest
+    widest = max(sum(abs(row[k]) for row in mat) for mat in units for k in range(8))
+    return SimpleNamespace(
+        units=tuple(units),
+        packs=packs,
+        bias=_ORBIT_HALF * sum(map(place, range(nfields))),
+        nbytes=4 * nfields,
+        blocks=itemgetter(*(slice(64 * t, 64 * t + 64) for t in range(len(units)))),
+        forward=itemgetter(slice(32, 64)),
+        unpack=Struct(">32x8I").unpack,  # a block -> its biased forward fields
+        decode=Struct(">" + "32x8i" * len(units)).unpack,  # XOR bias -> coordinates
+        limit=(_ORBIT_HALF - 1) // widest,
+    )
 
 
 def _last_positive(o: tuple[int, ...]) -> tuple[int, ...]:
     for v in reversed(o):
         if v:
-            return o if v > 0 else _neg(o)
+            return o if v > 0 else tuple(-v for v in o)
     return o
+
+
+def _orbit_blocks(zc: tuple[int, ...], pk: SimpleNamespace):
+    """The 60 blocks of the sign-normalised x*u, or None if a coordinate of
+    x is past the field limit."""
+    if max(map(abs, zc)) > pk.limit:
+        return None
+    a = sum(map(mul, zc, pk.packs))
+    plus = (pk.bias + a).to_bytes(pk.nbytes, "big")
+    minus = (pk.bias - a).to_bytes(pk.nbytes, "big")
+    return map(max, pk.blocks(plus), pk.blocks(minus))
+
+
+def _orbit(zc: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The 60 sign-normalised x*u, one per +-pair of norm-1 units u."""
+    pk = _orbit_packing()
+    chosen = _orbit_blocks(zc, pk)
+    if chosen is None:
+        return [_last_positive(_apply8(zc, mat)) for mat in pk.units]
+    flipped = int.from_bytes(b"".join(chosen), "big") ^ pk.bias
+    return list(zip(*[iter(pk.decode(flipped.to_bytes(pk.nbytes, "big")))] * 8))
 
 
 def _orbit_min(zc: tuple[int, ...]) -> tuple[int, ...]:
     """The least x*u over the 120 norm-1 units u, each taken with the sign
     that makes its last nonzero coordinate positive."""
-    packs, bias, nbytes, limit = _orbit_packing()
-    if max(map(abs, zc)) > limit:
-        return min(_last_positive(_apply8(zc, mat)) for mat in unit_right_mul_matrices())
-    a = sum(x * p for x, p in zip(zc, packs) if x)
-    order = sys.byteorder
-    words = memoryview((bias + a).to_bytes(nbytes, order) + (bias - a).to_bytes(nbytes, order))
-    # x*u and -x*u, offset by _ORBIT_HALF; the last nonzero coordinate is
-    # positive iff the reversed vector exceeds the offset zero vector.
-    best = min(
-        o
-        for o in zip(*[iter(words.cast("Q"))] * 8)
-        if o[7] > _ORBIT_HALF or (o[7] == _ORBIT_HALF and o[::-1] > _ORBIT_ZERO)
-    )
-    return tuple(v - _ORBIT_HALF for v in best)
+    pk = _orbit_packing()
+    chosen = _orbit_blocks(zc, pk)
+    if chosen is None:
+        return min(_orbit(zc))
+    return tuple(v - _ORBIT_HALF for v in pk.unpack(min(chosen, key=pk.forward)))
 
 
 def class_rep(q: Icosian) -> tuple[int, ...]:
@@ -361,11 +403,26 @@ def _class_reps_by_products(
         return class_reps_for_norm(m, budget)
     parts = []
     expected = 1
+    nr = ONE_O
     for pi, k, _tag in factor_o(m).factors:
-        parts.append(_prime_power_classes(_totally_positive(pi), k, budget, memo))
+        pi = _totally_positive(pi)
+        parts.append(_prime_power_classes(pi, k, budget, memo))
+        nr = nr * pi**k
         np = pi.abs_norm()
         expected *= np**k + np ** (k - 1)
-    reps = sorted(class_rep(reduce(mul, combo)) for combo in itertools.product(*parts))
+    # Every product has nr = nr above, so one tau^2 scaling (a central
+    # scalar, one integer matrix) takes them all to the norm candidate.
+    products = [reduce(mul, combo) for combo in itertools.product(*parts)]
+    y, j = _norm_candidate(nr)
+    if y != m:
+        raise AssertionError(f"{m} is not the norm candidate {y} of its primes")
+    if products[0].nr() != nr:
+        raise AssertionError(f"nr {m}: a product has nr {products[0].nr()}, not {nr}")
+    zcs = [q.zc for q in products]
+    if j:
+        scale = _left_rows(Icosian.from_o(tau_pow(-j)).zc)
+        zcs = [_apply8(zc, scale) for zc in zcs]
+    reps = sorted(map(_orbit_min, zcs))
     if len(reps) != expected:
         raise AssertionError(f"nr {m}: {len(reps)} classes, the ideal count is {expected}")
     if len(set(reps)) != len(reps):

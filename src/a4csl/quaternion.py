@@ -11,9 +11,30 @@ twist-invariant subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, ParseError
 from .field import KNum, format_knum, parse_knum
+
+
+# Component r of p * q is the sum of sign * p_i * q_j over the terms of row r.
+_HAMILTON = (
+    ((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+    ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+    ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
+    ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)),
+)
+
+
+def _cleared(q: "Quat") -> tuple[int, list[tuple[int, int]]]:
+    """(den, [(a_i, b_i)]) with q_i = (a_i + b_i tau) / den, all integers."""
+    parts = [(x.a, x.b) for x in q.components()]
+    den = lcm(*(f.denominator for pair in parts for f in pair))
+    return den, [
+        (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+        for a, b in parts
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,16 +63,23 @@ class Quat:
         return Quat(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other: "Quat") -> "Quat":
+        """Hamilton's product on integers: each operand is cleared to one
+        common denominator, and only the 8 result coefficients are Fractions."""
         if not isinstance(other, Quat):
             return NotImplemented
-        a1, b1, c1, d1 = self.components()
-        a2, b2, c2, d2 = other.components()
-        return Quat(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
+        den1, x = _cleared(self)
+        den2, y = _cleared(other)
+        den = den1 * den2
+        out = []
+        for terms in _HAMILTON:
+            ra = rb = 0
+            for i, j, sign in terms:
+                (p, q), (r, s) = x[i], y[j]
+                qs = q * s  # (p + q tau)(r + s tau), tau^2 = tau + 1
+                ra += sign * (p * r + qs)
+                rb += sign * (p * s + q * r + qs)
+            out.append(KNum(Fraction(ra, den), Fraction(rb, den)))
+        return Quat(*out)
 
     def scale(self, s) -> "Quat":
         s = KNum.of(s)

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from a4csl.errors import BudgetError, DomainError
 from a4csl.field import OInt, factor_int, factor_o, is_prime, lcm_o, tau_pow, unit_normalize
 from a4csl.csl import criterion_ideal
+from a4csl import counting
 from a4csl.icosian import (
     Icosian,
     TRACE_GRAM,
+    _apply8,
     extension,
     sigma_index,
     unit_group,
@@ -19,7 +21,11 @@ from a4csl.counting import (
     NodeBudget,
     _class_csls,
     _class_reps_by_products,
+    _orbit,
+    _orbit_blocks,
     _orbit_min,
+    _orbit_packing,
+    _totally_positive,
     census,
     census_csv,
     census_table,
@@ -146,13 +152,109 @@ def test_enumeration_matches_short_vector_route():
 
 
 def test_orbit_min_packed_and_plain_paths_agree():
-    # Scaling by c > 0 scales the orbit minimum; c = 2**62 takes the
-    # coordinates past the packed fields, onto the plain apply loop.
+    # Scaling by c > 0 scales the orbit minimum.  The largest c that keeps
+    # every coordinate within the field limit stays packed; limit + 1 and
+    # 2**62 take the coordinates past the 32-bit fields, onto the plain
+    # apply loop.
+    limit = _orbit_packing().limit
     for n in (1, 2, 5, 9, 11):
         for q in enumerate_rotations(n):
-            for c in (1, 3, 2**62):
+            top = limit // max(map(abs, q.zc))
+            for c in (1, 3, top, limit + 1, 2**62):
                 scaled = tuple(c * v for v in q.zc)
                 assert _orbit_min(scaled) == tuple(c * v for v in q.zc)
+                packed = _orbit_blocks(scaled, _orbit_packing()) is not None
+                assert packed == (c <= top)
+
+
+def _sign_normalised(o):
+    last = [v for v in o if v][-1]
+    return o if last > 0 else tuple(-v for v in o)
+
+
+def _plain_orbit(zc):
+    """Every sign-normalised x*u over the 120 unit matrices, by _apply8."""
+    return {_sign_normalised(_apply8(zc, mat)) for mat in unit_right_mul_matrices()}
+
+
+@st.composite
+def _orbit_vectors(draw):
+    """Coordinates up to a cap just below, at or just above the field
+    limit, or past 2**63; one coordinate sits at +-cap."""
+    limit = _orbit_packing().limit
+    cap = draw(st.sampled_from((3, limit - 1, limit, limit + 1, 2**63 - 1, 2**63 + 1, 2**70)))
+    zc = draw(st.lists(st.integers(-cap, cap), min_size=8, max_size=8))
+    zc[draw(st.integers(0, 7))] = draw(st.sampled_from((cap, -cap)))
+    return tuple(zc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_orbit_vectors())
+def test_packed_orbit_matches_plain_apply_over_all_units(zc):
+    plain = _plain_orbit(zc)
+    assert _orbit_min(zc) == min(plain)
+    members = _orbit(zc)
+    assert len(members) == 60 and set(members) == plain
+
+
+def test_orbit_fields_hold_the_widest_sum():
+    """A vector at the limit whose signs match the widest column of a unit
+    matrix fills that field to widest * limit and still takes the packed
+    route; one step further it takes the plain route."""
+    pk = _orbit_packing()
+    limit = pk.limit
+    mat, k = max(
+        ((mat, k) for mat in pk.units for k in range(8)),
+        key=lambda mk: sum(abs(row[mk[1]]) for row in mk[0]),
+    )
+    signs = tuple((row[k] > 0) - (row[k] < 0) for row in mat)
+    for c, packed in ((limit, True), (limit + 1, False)):
+        zc = tuple(c * s for s in signs)
+        assert (_orbit_blocks(zc, pk) is not None) == packed
+        assert _orbit_min(zc) == min(_plain_orbit(zc))
+        assert set(_orbit(zc)) == _plain_orbit(zc)
+
+
+def _dedup_by_seen_set(m, vecs):
+    """The former dedup of class_reps_for_norm: each new vector's whole
+    orbit, every x*u and -x*u over the 120 units, goes into a seen set."""
+    repeated = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
+    if repeated:
+        vecs = [
+            zc
+            for zc in vecs
+            if not any(all(pi.divides(c) for c in Icosian(zc).coords()) for pi in repeated)
+        ]
+    seen = set()
+    reps = []
+    for zc in vecs:
+        if zc in seen:
+            continue
+        reps.append(zc)
+        for mat in unit_right_mul_matrices():
+            o = _apply8(zc, mat)
+            seen.add(o)
+            seen.add(tuple(-v for v in o))
+    return reps
+
+
+def test_class_reps_for_norm_matches_seen_set_dedup(monkeypatch):
+    """For every prime of o above a rational prime p < 25 (and the squares
+    4 and 9, which take the primitivity filter), the one-kernel dedup keeps
+    the same vectors as the former seen-set dedup on the same search."""
+    searched = {}
+    search = counting.icosians_with_norm
+
+    def recording(m, budget=None):
+        searched[m] = search(m, budget)
+        return searched[m]
+
+    monkeypatch.setattr(counting, "icosians_with_norm", recording)
+    norms = [OInt(4, 0), OInt(9, 0)]
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        norms += [_totally_positive(pi) for pi, _e, _tag in factor_o(OInt(p, 0)).factors]
+    for m in norms:
+        assert class_reps_for_norm(m) == _dedup_by_seen_set(m, searched[m]), m
 
 
 @st.composite

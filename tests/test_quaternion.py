@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import DomainError, ParseError
 from a4csl.field import KNum, OInt
@@ -90,6 +91,32 @@ def test_hamilton_products():
     assert I_Q * I_Q == Quat.of(-1)
     assert J_Q * J_Q == Quat.of(-1)
     assert K_Q * K_Q == Quat.of(-1)
+
+
+def _hamilton_knum(p, q):
+    """Hamilton's product in KNum arithmetic (the former Quat.__mul__)."""
+    a1, b1, c1, d1 = p.components()
+    a2, b2, c2, d2 = q.components()
+    return Quat(
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+# Numerators past 2^64 and denominators up to 2^64, so the common
+# denominator of an operand is a product of large coprime parts.
+_big_fraction = st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**64))
+_big_quat = st.builds(
+    Quat, *[st.builds(KNum, _big_fraction, _big_fraction) for _ in range(4)]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_big_quat, _big_quat)
+def test_mul_matches_knum_product(p, q):
+    assert p * q == _hamilton_knum(p, q)
 
 
 def test_mul_associative_nr_multiplicative():
