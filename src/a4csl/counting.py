@@ -11,21 +11,24 @@ coincidence index n.  The strategy is exact and complete: list candidate
 reduced norms m (totally positive, lcm(m, m') = n, one representative per
 tau^2-scaling orbit) and build the classes of each m from the primes pi of
 o that divide it.  The N(pi)+1 classes of norm pi (the generators) come
-from one short-vector search each (class_reps_for_norm); the classes of
-norm pi^k are the products q*g of a class q of norm pi^(k-1) with a
-generator g that pi does not divide (non-backtracking walks on the
-Bruhat-Tits tree, so none repeats), and the classes of m are the products
-of one class per prime-power part.  All products of m share one nr, so
-one power of tau, found once per norm, scales them to reduced norm m; each
-is then replaced by the least vector of its orbit under the 120 norm-1
-units, taken with its last nonzero coordinate positive (class_rep's form):
-the representative the short-vector route picks.  Class counts are checked
+from one short-vector search each that stops as soon as they are complete
+(prime_class_reps): the class of each new vector x brings those of u*x
+for every norm-1 unit u, so only a few vectors are drawn and the node
+budget pays for no more.  The classes of norm pi^k are the products q*g of
+a class q of norm pi^(k-1) with a generator g that pi does not divide
+(non-backtracking walks on the Bruhat-Tits tree, so none repeats), and the
+classes of m are the products of one class per prime-power part.  All
+products of m share one nr, so one power of tau, found once per norm,
+scales them to reduced norm m; each is then replaced by the least vector
+of its orbit under the 120 norm-1 units, taken with its last nonzero
+coordinate positive (class_rep's form): the first vector of its class
+that a full sorted short-vector search meets.  Class counts are checked
 against the local ideal counts N(pi)^k + N(pi)^(k-1).
 
-One packed kernel (_orbit_packing) computes the orbits for these
-representatives and for the dedup of the generator search: 60 units, one
-per +-pair, in 32-bit big-endian fields, with signs and minimum chosen by
-comparing bytes.
+One packed kernel (_orbit_packing) computes the orbit minima for these
+representatives and for the class keys of the generator search: 60 units,
+one per +-pair, in 32-bit big-endian fields, with signs and minimum chosen
+by comparing bytes.
 
 census(n) takes each class q to its CSL, the phi_plus image of q_alpha =
 alpha q, and to its criterion ideal q I + beta I.  alpha, beta and the
@@ -71,7 +74,8 @@ from .icosian import (
     TRACE_GRAM,
     _apply8,
     _left_rows,
-    unit_right_mul_matrices,
+    _right_rows,
+    unit_group,
 )
 from .lattice import phi_plus_image
 from .shortvec import NodeBudget, enumerate_two_forms
@@ -215,50 +219,45 @@ def norm_candidates(n: int) -> list[OInt]:
     return out
 
 
-def icosians_with_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
-    """Coordinate vectors of all icosians with nr exactly m (one per +-pair).
+def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
+    """One coordinate vector per right-ideal class with nr exactly pi, a
+    totally positive prime of o or 1: the generators of the enumeration,
+    sorted, each the least of its class (class_rep's form).
 
-    nr(x) = m pins both coordinates of the norm, i.e. two positive definite
-    quadric equalities (the a-part form and the trace form); the enumerator
-    prunes on both simultaneously.
+    The right ideals of norm pi are the N(pi)+1 lines of I/pi*I, a matrix
+    ring over o/pi (1 ideal, I itself, for pi = 1), and each is principal,
+    x*I with nr(x) = pi; its generators of nr exactly pi are the x*u over the
+    norm-1 units u, so the key _orbit_min(x) names the ideal.  The search
+    over the icosians of nr pi is consumed lazily: for each x with a new key
+    the keys of u*x over the 60 units u (one per +-pair, -u*x = -(u*x)) join
+    too, since nr(u*x) = pi and left multiplication by a unit permutes the
+    right ideals of norm pi.  N(pi)+1 distinct keys are then every class,
+    and the search stops there: the budget is charged only for the nodes
+    before that point.  A search that ends short of them, or more keys than
+    ideals, raises.
     """
-    if not m.is_totally_positive():
+    if not pi.is_totally_positive():
         raise DomainError("reduced norms are totally positive")
-    out = list(
-        enumerate_two_forms(
-            NORM_A_GRAM, 2 * m.a, TRACE_GRAM, 2 * m.trace(), budget=budget
-        )
-    )
-    out.sort()
-    return out
+    if pi != ONE_O and [e for _p, e, _tag in factor_o(pi).factors] != [1]:
+        raise DomainError(f"{pi} is not a prime of o")
+    expected = 1 if pi == ONE_O else pi.abs_norm() + 1
+    keys: set[tuple[int, ...]] = set()
+    search = enumerate_two_forms(NORM_A_GRAM, 2 * pi.a, TRACE_GRAM, 2 * pi.trace(), budget=budget)
+    try:
+        for zc in search:
+            if _orbit_min(zc) not in keys:
+                keys.update(_orbit_min(_apply8(zc, mat)) for mat in _orbit_packing().lefts)
+                if len(keys) >= expected:
+                    break
+    finally:
+        search.close()
+    if len(keys) != expected:
+        raise AssertionError(f"nr {pi}: {len(keys)} classes, the ideal count is {expected}")
+    return sorted(keys)
 
 
-def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
-    """One coordinate vector per right-ideal class with nr exactly m, by
-    short-vector search over all icosians of that norm."""
-    vecs = icosians_with_norm(m, budget)
-    repeated = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
-    if repeated:
-        kept = []
-        for zc in vecs:
-            coords = Icosian(zc).coords()
-            if any(all(pi.divides(c) for c in coords) for pi in repeated):
-                continue  # imprimitive
-            kept.append(zc)
-        vecs = kept
-    # The search yields each +-pair once, last nonzero coordinate positive,
-    # which is the sign normalisation of the orbit members.
-    seen: set[tuple[int, ...]] = set()
-    reps = []
-    for zc in vecs:
-        if zc not in seen:
-            reps.append(zc)
-            seen.update(_orbit(zc))
-    return reps
-
-
-# One kernel computes the unit orbit of a vector x, for class_rep and for
-# the dedup in class_reps_for_norm.  -1 is a unit and x*(-u) = -(x*u), so
+# One kernel computes the least member of the unit orbit of a vector x, for
+# class_rep and the generator keys.  -1 is a unit and x*(-u) = -(x*u), so
 # the two units of a +-pair give the same sign-normalised member (last
 # nonzero coordinate positive): 60 units suffice, one per pair.  Unit t owns
 # a block of 16 fields of 32 bits, packed big-endian: the 8 coordinates of
@@ -269,21 +268,23 @@ def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple
 # then compare as their coordinates do lexicographically.  Of the two blocks
 # of a unit the larger has the larger reversed half, i.e. the positive last
 # nonzero coordinate; the least forward half of the 60 winners is the orbit
-# minimum, and only it is decoded.  XOR with the bias flips the top bit of
-# every field, which turns a biased field into the two's complement of its
-# coordinate.  Past the field limit both callers take the plain _apply8 route.
+# minimum, and only it is decoded.  Past the field limit _orbit_min takes the
+# plain _apply8 route.
 _ORBIT_HALF = 1 << 31
 
 
 @lru_cache(maxsize=1)
 def _orbit_packing() -> SimpleNamespace:
-    """The packing of the 60 unit matrices (units, one per +-pair) and the
-    readers of its bytes; limit is the largest |coordinate| whose x*u fit."""
-    units, negated = [], set()
-    for mat in unit_right_mul_matrices():
-        if mat not in negated:
-            units.append(mat)
-            negated.add(tuple(tuple(-v for v in row) for row in mat))
+    """The packing of the matrices of x -> x*u for 60 norm-1 units u, one
+    per +-pair (units), and the readers of its bytes; limit is the largest
+    |coordinate| whose x*u fit.  lefts holds the matrices of x -> u*x for
+    the same units, for the generator search."""
+    units, lefts, negated = [], [], set()
+    for u in unit_group():
+        if u.zc not in negated:
+            units.append(tuple(_right_rows(u.zc)))
+            lefts.append(tuple(_left_rows(u.zc)))
+            negated.add(tuple(-v for v in u.zc))
     nfields = 16 * len(units)
 
     def place(f):
@@ -300,13 +301,13 @@ def _orbit_packing() -> SimpleNamespace:
     widest = max(sum(abs(row[k]) for row in mat) for mat in units for k in range(8))
     return SimpleNamespace(
         units=tuple(units),
+        lefts=tuple(lefts),
         packs=packs,
         bias=_ORBIT_HALF * sum(map(place, range(nfields))),
         nbytes=4 * nfields,
         blocks=itemgetter(*(slice(64 * t, 64 * t + 64) for t in range(len(units)))),
         forward=itemgetter(slice(32, 64)),
         unpack=Struct(">32x8I").unpack,  # a block -> its biased forward fields
-        decode=Struct(">" + "32x8i" * len(units)).unpack,  # XOR bias -> coordinates
         limit=(_ORBIT_HALF - 1) // widest,
     )
 
@@ -330,13 +331,9 @@ def _orbit_blocks(zc: tuple[int, ...], pk: SimpleNamespace):
 
 
 def _orbit(zc: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The 60 sign-normalised x*u, one per +-pair of norm-1 units u."""
-    pk = _orbit_packing()
-    chosen = _orbit_blocks(zc, pk)
-    if chosen is None:
-        return [_last_positive(_apply8(zc, mat)) for mat in pk.units]
-    flipped = int.from_bytes(b"".join(chosen), "big") ^ pk.bias
-    return list(zip(*[iter(pk.decode(flipped.to_bytes(pk.nbytes, "big")))] * 8))
+    """The 60 sign-normalised x*u, one per +-pair of norm-1 units u, by the
+    plain apply loop."""
+    return [_last_positive(_apply8(zc, mat)) for mat in _orbit_packing().units]
 
 
 def _orbit_min(zc: tuple[int, ...]) -> tuple[int, ...]:
@@ -355,7 +352,7 @@ def class_rep(q: Icosian) -> tuple[int, ...]:
     q is scaled by a power of tau so that nr is its norm candidate; the
     result is the least vector of the orbit under right multiplication by
     the 120 norm-1 units whose last nonzero coordinate is positive (the
-    first one the sorted short-vector route meets).
+    first one a full sorted short-vector search meets).
     """
     if q.is_zero():
         raise DomainError("the zero icosian has no class")
@@ -373,14 +370,14 @@ def _prime_power_classes(
 ) -> list[Icosian]:
     """One icosian of nr pi^k per right-ideal class, pi totally positive prime.
 
-    k = 1 is one short-vector search; higher powers extend each class of
-    pi^(k-1) by every generator and drop the one backtracking product,
-    which pi divides.
+    k = 1 is one stopped short-vector search; higher powers extend each
+    class of pi^(k-1) by every generator and drop the one backtracking
+    product, which pi divides.
     """
     key = (pi, k)
     if key not in memo:
         if k == 1:
-            memo[key] = [Icosian(zc) for zc in class_reps_for_norm(pi, budget)]
+            memo[key] = [Icosian(zc) for zc in prime_class_reps(pi, budget)]
         else:
             gens = _prime_power_classes(pi, 1, budget, memo)
             out = []
@@ -396,11 +393,12 @@ def _prime_power_classes(
 def _class_reps_by_products(
     m: OInt, budget: NodeBudget | None, memo: dict
 ) -> list[tuple[int, ...]]:
-    """class_reps_for_norm(m), built from the prime-norm generators."""
+    """One coordinate vector per right-ideal class with nr exactly m, sorted,
+    each the least of its class, built from the prime-norm generators."""
     if m == ONE_O:
         # Searched like the generators, so that index 1 is charged to the
-        # budget (a budget below 154 nodes truncates a census before n = 1).
-        return class_reps_for_norm(m, budget)
+        # budget (a budget below 8 nodes truncates a census before n = 1).
+        return prime_class_reps(m, budget)
     parts = []
     expected = 1
     nr = ONE_O

@@ -11,7 +11,8 @@ Z-basis; multiplication, twist and conjugation act through precomputed
 integer structure tables, so bulk arithmetic never touches rationals.
 The Z-basis rows of q*I and I*q (the products q*zb_j and zb_j*q) are read
 straight from the product table _MUL, as one pass of _combine over the
-coordinates of q; Icosian.__mul__ is the oracle for that route.
+coordinates of q, and Icosian.__mul__ applies those rows of its left
+factor to its right one; a dense triple loop over _MUL is the test oracle.
 
 The 120 icosians of reduced norm 1 form the binary icosahedral group; the
 full unit group of I is {+-tau^k} times these.  Right ideals q*I are
@@ -135,19 +136,7 @@ class Icosian:
     def __mul__(self, other: "Icosian") -> "Icosian":
         if not isinstance(other, Icosian):
             return NotImplemented
-        out = [0] * 8
-        oz = other.zc
-        for i, xi in enumerate(self.zc):
-            if xi:
-                mrow = _MUL[i]
-                for j, yj in enumerate(oz):
-                    if yj:
-                        s = xi * yj
-                        t = mrow[j]
-                        for k in range(8):
-                            if t[k]:
-                                out[k] += s * t[k]
-        return Icosian(tuple(out))
+        return Icosian(_apply8(other.zc, _left_rows(self.zc)))
 
     def scale_o(self, s: OInt) -> "Icosian":
         return Icosian.from_coords(tuple(s * c for c in self.coords()))
@@ -273,8 +262,8 @@ def _sparse(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def _combine(coeffs, table, width: int) -> list[int]:
     """sum_i coeffs[i] * table[i] for a _sparse table of the given row width:
-    the one kernel behind the rows of q*I and I*q, the rotation image rows
-    and phi_plus_image."""
+    the one kernel behind the product of icosians, the rows of q*I and I*q,
+    the rotation image rows and phi_plus_image."""
     out = [0] * width
     for x, row in zip(coeffs, table):
         if x:

@@ -101,7 +101,11 @@ def test_census_command_csv(capsys):
 
 
 def test_census_budget_exceeded(capsys):
-    for budget in ("100", "0"):
+    """census --nmax 9 charges 76 nodes: 8 for index 1, 9 for nr 2, 11 for
+    nr 3, 17 for nr 2+t and 31 for nr 7, each search stopping once its
+    classes are complete.  50 nodes end the table after n = 6, 0 before
+    n = 1."""
+    for budget in ("50", "0"):
         code, out, err = run(capsys, "--budget", budget, "census", "--nmax", "9")
         assert code == 4
         assert "# truncated" in out
@@ -136,19 +140,21 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 # Reference CLI outputs, compared byte for byte with their exit codes.  The
-# truncated census pins the order in which the DFS counts its nodes.
+# truncated census pins the order in which the DFS counts its nodes: index 1
+# charges 8, nr 2 then 9 (17 in all) and nr 3 then 11 (28), so 20 nodes end
+# the table after n = 2.
 @pytest.mark.parametrize(
     "argv, name, code",
     [
         (["--output", "json", "enumerate", "10"], "enumerate10.json", 0),
         (["census", "--nmax", "8"], "census_nmax8.csv", 0),
-        (["--budget", "2000", "census", "--nmax", "9"], "census_nmax9_budget2000.csv", 4),
+        (["--budget", "20", "census", "--nmax", "9"], "census_nmax9_budget20.csv", 4),
         (["selftest"], "selftest.txt", 0),
         (["--output", "json", "equal", "(t,2*t,0,0)", "(1+t,t,t,1)"], "equal_worked.json", 0),
         (["--output", "json", "csl", "(1+t,t,t,1)"], "csl_1tt1.json", 0),
         (["--output", "json", "rot", "(t,2*t,0,0)"], "rot_worked.json", 0),
     ],
-    ids=["enumerate10", "census8", "census9-budget2000", "selftest", "equal", "csl", "rot"],
+    ids=["enumerate10", "census8", "census9-budget20", "selftest", "equal", "csl", "rot"],
 )
 def test_golden_output(capsys, argv, name, code):
     got_code, out, _ = run(capsys, *argv)

@@ -9,6 +9,7 @@ from a4csl.csl import criterion_ideal
 from a4csl import counting
 from a4csl.icosian import (
     Icosian,
+    NORM_A_GRAM,
     TRACE_GRAM,
     _apply8,
     extension,
@@ -30,16 +31,15 @@ from a4csl.counting import (
     census_csv,
     census_table,
     class_rep,
-    class_reps_for_norm,
     dirichlet_coeffs,
     enumerate_rotations,
     euler_product_coeffs,
     f,
     f_prime_power,
-    icosians_with_norm,
     norm_candidates,
+    prime_class_reps,
 )
-from a4csl.shortvec import enumerate_form
+from a4csl.shortvec import enumerate_form, enumerate_two_forms
 
 rng = random.Random(8128)
 
@@ -91,6 +91,40 @@ def test_norm_candidates():
     assert len(norm_candidates(121)) == 3  # pi^2, 121, pi'^2
 
 
+# -- the full short-vector route, the oracle of the generator search ---------
+
+
+def icosians_with_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
+    """Coordinate vectors of all icosians with nr exactly m (one per +-pair),
+    sorted: the two-form search run to its end."""
+    return sorted(
+        enumerate_two_forms(NORM_A_GRAM, 2 * m.a, TRACE_GRAM, 2 * m.trace(), budget=budget)
+    )
+
+
+def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
+    """One coordinate vector per right-ideal class with nr exactly m, by
+    short-vector search over all icosians of that norm: the primitive ones,
+    and of those the first of each unit orbit in sorted order."""
+    vecs = icosians_with_norm(m, budget)
+    repeated = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
+    if repeated:
+        vecs = [
+            zc
+            for zc in vecs
+            if not any(all(pi.divides(c) for c in Icosian(zc).coords()) for pi in repeated)
+        ]
+    # The search yields each +-pair once, last nonzero coordinate positive,
+    # which is the sign normalisation of the orbit members.
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for zc in vecs:
+        if zc not in seen:
+            reps.append(zc)
+            seen.update(_orbit(zc))
+    return reps
+
+
 def test_icosians_with_norm_counts():
     # nr = 1: the 120 units, i.e. 60 +-pairs
     assert len(icosians_with_norm(OInt(1, 0))) == 60
@@ -131,14 +165,16 @@ def test_census_table_and_csv():
 
 def test_budget_enforced():
     """The generator memo lives for one call, so the same budget truncates
-    at the same index cold and after a warm census: norm 1 (154 nodes) and
-    norm 2 (800) fit in 2000 nodes, norm 3 (2423) does not."""
+    at the same index cold and after a warm census.  Each search stops once
+    its classes are complete: norm 1 (8 nodes) and norm 2 (9) fit in 20
+    nodes, norm 3 (11 more) does not; index 11 needs nr 3+t and 3+2t, 23
+    nodes each, so 30 nodes are not enough."""
     with pytest.raises(BudgetError):
-        enumerate_rotations(11, budget=NodeBudget(50))
-    cold, truncated = census_table(9, budget=NodeBudget(2000))
+        enumerate_rotations(11, budget=NodeBudget(30))
+    cold, truncated = census_table(9, budget=NodeBudget(20))
     assert truncated and census_csv(cold).splitlines()[1:] == ["1,1,1,1,true", "2,5,5,5,true"]
     census_table(12)
-    warm, truncated = census_table(9, budget=NodeBudget(2000))
+    warm, truncated = census_table(9, budget=NodeBudget(20))
     assert truncated and warm == cold
 
 
@@ -240,21 +276,84 @@ def _dedup_by_seen_set(m, vecs):
 
 def test_class_reps_for_norm_matches_seen_set_dedup(monkeypatch):
     """For every prime of o above a rational prime p < 25 (and the squares
-    4 and 9, which take the primitivity filter), the one-kernel dedup keeps
-    the same vectors as the former seen-set dedup on the same search."""
+    4 and 9, which take the primitivity filter), the oracle's dedup over the
+    60 sign-normalised members of each orbit keeps the same vectors as the
+    seen set of every x*u and -x*u over the 120 units, on the same search."""
     searched = {}
-    search = counting.icosians_with_norm
+    search = icosians_with_norm
 
     def recording(m, budget=None):
         searched[m] = search(m, budget)
         return searched[m]
 
-    monkeypatch.setattr(counting, "icosians_with_norm", recording)
+    monkeypatch.setitem(globals(), "icosians_with_norm", recording)
     norms = [OInt(4, 0), OInt(9, 0)]
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
         norms += [_totally_positive(pi) for pi, _e, _tag in factor_o(OInt(p, 0)).factors]
     for m in norms:
         assert class_reps_for_norm(m) == _dedup_by_seen_set(m, searched[m]), m
+
+
+def _primes_of_o_below(bound: int) -> list[OInt]:
+    """The totally positive primes of o of absolute norm below bound."""
+    out = []
+    for p in range(2, bound):
+        if is_prime(p):
+            for pi, _e, _tag in factor_o(OInt(p, 0)).factors:
+                if pi.abs_norm() < bound:
+                    out.append(_totally_positive(pi))
+    return out
+
+
+def test_prime_generators_match_full_search():
+    """The stopped search gives the oracle's generators, in its order, for
+    nr 1 and every prime of o of norm below 100: 2 + t, the inert 2, 3 and
+    7, and both primes above each split p <= 89."""
+    primes = _primes_of_o_below(100)
+    assert len(primes) == 24
+    assert {OInt(2, 0), OInt(3, 0), OInt(7, 0), OInt(2, 1)} <= set(primes)
+    for m in [OInt(1, 0)] + primes:
+        assert prime_class_reps(m) == class_reps_for_norm(m), m
+
+
+def test_prime_generators_stop_early():
+    """At nr 7 the search stops once the 50 classes are complete, long
+    before the full search ends; the budget pays only for the nodes run."""
+    m = OInt(7, 0)
+    stopped, full = NodeBudget(10**9), NodeBudget(10**9)
+    assert len(prime_class_reps(m, stopped)) == 50
+    assert len(icosians_with_norm(m, full)) == 60 * 50
+    assert 0 < stopped.used < full.used // 100
+
+
+def test_prime_generators_refuse_a_short_or_foreign_stream(monkeypatch):
+    """A search that ends before every class is found raises (the first
+    vector of nr 7 brings the 20 classes of its left-unit orbit), and so does
+    a stream whose keys outnumber the ideals (vectors of nr 3 offered as nr 2:
+    their 10 classes exceed the 5 ideals of norm 2)."""
+    full = counting.enumerate_two_forms
+
+    def first_only(*args, **kwargs):
+        yield next(iter(full(*args, **kwargs)))
+
+    monkeypatch.setattr(counting, "enumerate_two_forms", first_only)
+    with pytest.raises(AssertionError, match="20 classes, the ideal count is 50"):
+        prime_class_reps(OInt(7, 0))
+
+    def norm_three(*args, budget=None):
+        return full(NORM_A_GRAM, 6, TRACE_GRAM, 12, budget=budget)
+
+    monkeypatch.setattr(counting, "enumerate_two_forms", norm_three)
+    with pytest.raises(AssertionError, match="10 classes, the ideal count is 5"):
+        prime_class_reps(OInt(2, 0))
+
+
+def test_prime_generators_refuse_other_norms():
+    for m in (OInt(4, 0), OInt(11, 0), OInt(6, 0)):
+        with pytest.raises(DomainError, match="not a prime"):
+            prime_class_reps(m)
+    with pytest.raises(DomainError, match="totally positive"):
+        prime_class_reps(OInt(3, -2))
 
 
 @st.composite

@@ -16,6 +16,7 @@ from a4csl.icosian import (
     Icosian,
     Rank8Module,
     ZB_ICO,
+    _MUL,
     _apply8,
     _balance,
     _content_norm,
@@ -366,6 +367,25 @@ def test_product_rows_match_per_basis_products(zc, xc):
     if any(zc):
         assert left_ideal_rows(q) == right
         assert right_ideal([q]).rows == Rank8Module.from_rows([(q * zb).zc for zb in ZB_ICO]).rows
+
+
+def _dense_product(xc, yc):
+    """The coordinates of x*y by the dense triple loop over the product
+    table _MUL: sum over i, j of x_i y_j (zb_i zb_j)."""
+    out = [0] * 8
+    for i, xi in enumerate(xc):
+        if xi:
+            for j, yj in enumerate(yc):
+                if yj:
+                    for k, t in enumerate(_MUL[i][j]):
+                        out[k] += xi * yj * t
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ZC, _ZC)
+def test_product_matches_dense_table_loop(zc, xc):
+    assert (Icosian(zc) * Icosian(xc)).zc == _dense_product(zc, xc)
 
 
 def test_unit_right_mul_matrices_match_per_basis_products():
