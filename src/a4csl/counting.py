@@ -16,14 +16,15 @@ from one short-vector search each that stops as soon as they are complete
 for every norm-1 unit u, so only a few vectors are drawn and the node
 budget pays for no more.  The classes of norm pi^k are the products q*g of
 a class q of norm pi^(k-1) with a generator g that pi does not divide
-(non-backtracking walks on the Bruhat-Tits tree, so none repeats), and the
-classes of m are the products of one class per prime-power part.  All
-products of m share one nr, so one power of tau, found once per norm,
-scales them to reduced norm m; each is then replaced by the least vector
-of its orbit under the 120 norm-1 units, taken with its last nonzero
-coordinate positive (class_rep's form): the first vector of its class
-that a full sorted short-vector search meets.  Class counts are checked
-against the local ideal counts N(pi)^k + N(pi)^(k-1).
+(non-backtracking walks on the Bruhat-Tits tree, so none repeats).  The
+classes of m are the products of one walk per prime, split into a head and
+a tail (_class_reps_by_products).  All products of m share one nr, so one
+power of tau, found once per norm, scales them to reduced norm m; each is
+then replaced by the least vector of its orbit under the 120 norm-1 units,
+taken with its last nonzero coordinate positive (class_rep's form): the
+first vector of its class that a full sorted short-vector search meets.
+Class counts are checked against the local ideal counts N(pi)^k +
+N(pi)^(k-1).
 
 One packed kernel (_orbit_packing) computes the orbit minima for these
 representatives and for the class keys of the generator search: 60 units,
@@ -31,11 +32,14 @@ one per +-pair, in 32-bit big-endian fields, with signs and minimum chosen
 by comparing bytes.
 
 census(n) takes each class q to its CSL, the phi_plus image of q_alpha =
-alpha q, and to its criterion ideal q I + beta I.  alpha, beta and the
-primes that could make q imprimitive depend on nr(q) alone, so they are
-computed once per norm, and phi_plus_image reads the images of the basis
-products from a fixed table.  census counts distinct CSL HNFs, checks the
-count against f(n) and the criterion partition against the HNF partition.
+alpha q, and keys it by its criterion ideal q I + beta I without building
+it: that ideal is the product of the heads of q times I, since locally I is
+a matrix ring and the ideals above q I form a chain (proof in _class_csls),
+so the head walks name it.  alpha and the primes that could
+make q imprimitive depend on nr(q) alone, so they are computed once per
+norm, and phi_plus_image reads the images of the basis products from a
+fixed table.  census counts distinct CSL HNFs, checks the count against
+f(n) and the key partition against the HNF partition.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import isqrt
 from operator import itemgetter, mul
 from struct import Struct
@@ -70,7 +74,6 @@ from .field import (
 from .icosian import (
     Icosian,
     NORM_A_GRAM,
-    Rank8Module,
     TRACE_GRAM,
     _apply8,
     _left_rows,
@@ -119,7 +122,8 @@ def f(n: int) -> int:
 
 
 def _series_div(num, den, nterms: int) -> list[int]:
-    assert den[0] == 1
+    if den[0] != 1:
+        raise AssertionError(f"series divisor must have constant term 1, got {den[0]}")
     out = []
     for k in range(nterms + 1):
         c = num[k] if k < len(num) else 0
@@ -367,8 +371,9 @@ def _totally_positive(pi: OInt) -> OInt:
 
 def _prime_power_classes(
     pi: OInt, k: int, budget: NodeBudget | None, memo: dict
-) -> list[Icosian]:
-    """One icosian of nr pi^k per right-ideal class, pi totally positive prime.
+) -> list[tuple[Icosian, tuple[int, ...]]]:
+    """One icosian g_1*...*g_k of nr pi^k per right-ideal class, pi totally
+    positive prime, with its walk: the indices of the generators g_i.
 
     k = 1 is one stopped short-vector search; higher powers extend each
     class of pi^(k-1) by every generator and drop the one backtracking
@@ -377,55 +382,78 @@ def _prime_power_classes(
     key = (pi, k)
     if key not in memo:
         if k == 1:
-            memo[key] = [Icosian(zc) for zc in prime_class_reps(pi, budget)]
+            memo[key] = [(Icosian(zc), (t,)) for t, zc in enumerate(prime_class_reps(pi, budget))]
         else:
-            gens = _prime_power_classes(pi, 1, budget, memo)
-            out = []
-            for q in _prime_power_classes(pi, k - 1, budget, memo):
-                for g in gens:
-                    x = q * g
-                    if not all(pi.divides(c) for c in x.coords()):
-                        out.append(x)
-            memo[key] = out
+            gens = list(enumerate(_prime_power_classes(pi, 1, budget, memo)))
+            memo[key] = [
+                (x, walk + (t,))
+                for q, walk in _prime_power_classes(pi, k - 1, budget, memo)
+                for t, (g, _) in gens
+                if not _divides(pi, x := q * g)
+            ]
     return memo[key]
+
+
+def _divides(pi: OInt, x: Icosian) -> bool:
+    return all(pi.divides(c) for c in x.coords())
 
 
 def _class_reps_by_products(
     m: OInt, budget: NodeBudget | None, memo: dict
-) -> list[tuple[int, ...]]:
-    """One coordinate vector per right-ideal class with nr exactly m, sorted,
-    each the least of its class, built from the prime-norm generators."""
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """(rep, head walks) per right-ideal class with nr exactly m, sorted by
+    rep, the least vector of the class.  With beta as in csl.criterion_ideal,
+    pi^k in m has the depth j = min(k, v_pi(beta)) >= 1 (j < k only for
+    sqrt5 and the larger power of a split p).  The classes are the products
+    of one head per prime, a walk of depth j, and one tail per prime with
+    j < k, a walk of depth k - j that continues the head (pi does not
+    divide the product)."""
     if m == ONE_O:
         # Searched like the generators, so that index 1 is charged to the
         # budget (a budget below 8 nodes truncates a census before n = 1).
-        return prime_class_reps(m, budget)
-    parts = []
+        return [(zc, ()) for zc in prime_class_reps(m, budget)]
+    d = isqrt(m.abs_norm())
+    beta = OInt(d // 5, 0) * SQRT5 if SQRT5.divides(m) else OInt(d, 0)
+    heads, tails, cut = [], [], []
     expected = 1
     nr = ONE_O
     for pi, k, _tag in factor_o(m).factors:
         pi = _totally_positive(pi)
-        parts.append(_prime_power_classes(pi, k, budget, memo))
+        j = 0
+        while j < k and pi.divides(beta):
+            beta, j = beta.exact_div(pi), j + 1
+        heads.append(_prime_power_classes(pi, j, budget, memo))
+        if j < k:
+            tails.append(_prime_power_classes(pi, k - j, budget, memo))
+            cut.append(pi)
         nr = nr * pi**k
         np = pi.abs_norm()
         expected *= np**k + np ** (k - 1)
+    # One multiplication per part and product; a tail is checked once it is on.
+    products = [(q, (walk,)) for q, walk in heads[0]]
+    for part in heads[1:]:
+        products = [(x * q, walks + (walk,)) for x, walks in products for q, walk in part]
+    for pi, part in zip(cut, tails):
+        products = [
+            (y, walks) for x, walks in products for q, _ in part if not _divides(pi, y := x * q)
+        ]
     # Every product has nr = nr above, so one tau^2 scaling (a central
     # scalar, one integer matrix) takes them all to the norm candidate.
-    products = [reduce(mul, combo) for combo in itertools.product(*parts)]
     y, j = _norm_candidate(nr)
     if y != m:
         raise AssertionError(f"{m} is not the norm candidate {y} of its primes")
-    if products[0].nr() != nr:
-        raise AssertionError(f"nr {m}: a product has nr {products[0].nr()}, not {nr}")
-    zcs = [q.zc for q in products]
+    if products[0][0].nr() != nr:
+        raise AssertionError(f"nr {m}: a product has nr {products[0][0].nr()}, not {nr}")
+    zcs = [q.zc for q, _walks in products]
     if j:
         scale = _left_rows(Icosian.from_o(tau_pow(-j)).zc)
         zcs = [_apply8(zc, scale) for zc in zcs]
-    reps = sorted(map(_orbit_min, zcs))
-    if len(reps) != expected:
-        raise AssertionError(f"nr {m}: {len(reps)} classes, the ideal count is {expected}")
-    if len(set(reps)) != len(reps):
+    classes = sorted(zip(map(_orbit_min, zcs), (walks for _q, walks in products)))
+    if len(classes) != expected:
+        raise AssertionError(f"nr {m}: {len(classes)} classes, the ideal count is {expected}")
+    if len({rep for rep, _key in classes}) != len(classes):
         raise AssertionError(f"nr {m}: two products give the same class")
-    return reps
+    return classes
 
 
 def enumerate_rotations(
@@ -436,14 +464,14 @@ def enumerate_rotations(
 
     memo holds the generators and prime-power classes between calls that
     share it (census_table passes one per table); the budget is charged
-    for the searches that fill it.
+    for the searches that fill it.  memo[n] is left holding the key of
+    each class, in order, for census.
     """
     if memo is None:
         memo = {}
-    reps: list[Icosian] = []
-    for m in norm_candidates(n):
-        reps.extend(Icosian(zc) for zc in _class_reps_by_products(m, budget, memo))
-    return reps
+    classes = [c for m in norm_candidates(n) for c in _class_reps_by_products(m, budget, memo)]
+    memo[n] = [key for _zc, key in classes]
+    return [Icosian(zc) for zc, _key in classes]
 
 
 @dataclass(frozen=True)
@@ -462,50 +490,45 @@ class SigmaCensus:
 
 def _norm_data(m: OInt, n: int):
     """What the CSL stage needs of a reduced norm m of index n: alpha with
-    nr(alpha q) = n, the rows of beta I for the criterion ideal q I + beta I
-    (beta = den/c as in csl.criterion_ideal), the unit-normal form of m and
-    the primes whose square divides m."""
+    nr(alpha q) = n (so m is admissible), the unit-normal form of m and the
+    primes whose square divides m."""
     if lcm_o(m, m.conj()) != OInt(n, 0):
         raise AssertionError(f"lcm of {m} and its conjugate is not {n}")
     alpha = sqrt_o(OInt(n, 0).exact_div(m))
     if alpha is None:
         raise AssertionError(f"{n}/{m} must be a square in o")
-    d = isqrt(m.abs_norm())
-    if d * d != m.abs_norm():
-        raise AssertionError(f"nr {m} is not admissible")
-    if n % 5:
-        beta = Icosian.from_int(d)
-    elif d % 5:
-        raise AssertionError("5 | sigma forces 5 | den")
-    else:
-        beta = Icosian.from_o(OInt(d // 5, 0) * SQRT5)
-    beta_rows = _left_rows(beta.zc)
     repeated = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
-    return alpha, beta_rows, unit_normalize(m)[0], repeated
+    return alpha, unit_normalize(m)[0], repeated
 
 
-def _class_csls(n: int, reps: list[Icosian]):
-    """Yield (CSL, criterion key) for each class rep q of index n.
+def _class_csls(n: int, reps: list[Icosian], walks):
+    """Yield (CSL, key) for each class rep q of index n with head walks w:
+    the CSL phi_plus_image(alpha q), the key the unit-normal nr(q) with w.
 
-    The CSL is phi_plus_image of the extension alpha q and the key is the
-    unit-normal nr(q) with the rows of criterion_ideal(q), as from the
-    public routes; everything that depends on nr(q) alone comes from
-    _norm_data, once per norm.  A prime pi dividing every coordinate of q
-    has pi^2 | nr(q), so the repeated primes decide primitivity.
+    w names qI + beta I = h_1*...*h_r*I, q = h_1*...*h_r*t_1*...*t_s.  At a
+    prime pi^k of nr(q) (elsewhere both are I), I is M_2(o_pi) and xI, for
+    x primitive of nr pi^k, is fixed by the lattice x o_pi^2 of cokernel
+    o/pi^k, which has one lattice of each index above it: xI + pi^v I is the
+    ideal of norm pi^min(k,v) above xI.  Write q = A h C t D, A, C, D units
+    at pi, h and t its head and tail (t = 1 if j = k): hCtI lies in hI, of
+    norm pi^j, so qI + beta I = A h I = h_1*...*h_r*I there (beta central).
+    Conversely that ideal is h_1 I at the first prime, h_1 h_2 I at the
+    second, and so on.  (Walk prefixes of q = w_1*...*w_r are no key: w_1
+    enters the ideals at the later primes, and they split CSLs at n = 35.)
+    A prime dividing q divides nr(q) twice: repeated primes decide primitivity.
     """
     per_norm = {}
-    for q in reps:
+    for q, w in zip(reps, walks, strict=True):
         m = q.nr()
         if m not in per_norm:
             per_norm[m] = _norm_data(m, n)
-        alpha, beta_rows, key, repeated = per_norm[m]
-        if any(all(pi.divides(c) for c in q.coords()) for pi in repeated):
+        alpha, key, repeated = per_norm[m]
+        if any(_divides(pi, q) for pi in repeated):
             raise DomainError(f"class rep {q} is not primitive")
         lat = phi_plus_image(q.scale_o(alpha))
         if lat.index != n:
             raise DomainError(f"CSL index {lat.index} != {n} for {q}")
-        rows = Rank8Module.from_rows(_left_rows(q.zc) + beta_rows).rows
-        yield lat, (key, rows)
+        yield lat, (key, w)
 
 
 def census(
@@ -515,22 +538,19 @@ def census(
     strict: bool = True,
     memo: dict | None = None,
 ) -> SigmaCensus:
-    """Enumerate index-n rotations, count distinct CSLs, compare with f(n).
+    """Enumerate index-n rotations, count distinct CSLs, compare with f(n)
+    and the criterion partition with the CSL HNF partition.
 
     strict=True raises on a count mismatch (the counting theorem is exact);
     memo is passed on to enumerate_rotations.
     """
+    memo = {} if memo is None else memo
     reps = enumerate_rotations(n, budget=budget, memo=memo)
-    hnfs = set()
-    crit_keys = set()
-    for lat, key in _class_csls(n, reps):
-        hnfs.add(lat.hnf)
-        crit_keys.add(key)
-    if len(crit_keys) != len(hnfs):
-        raise AssertionError("criterion dedup disagrees with HNF dedup")
-    result = SigmaCensus(
-        n=n, rotation_classes=len(reps), csl_count=len(hnfs), f_formula=f(n)
-    )
+    by_key, by_hnf = {}, {}
+    for lat, key in _class_csls(n, reps, memo.pop(n)):
+        if by_key.setdefault(key, lat.hnf) != lat.hnf or by_hnf.setdefault(lat.hnf, key) != key:
+            raise AssertionError("criterion dedup disagrees with HNF dedup")
+    result = SigmaCensus(n, rotation_classes=len(reps), csl_count=len(by_hnf), f_formula=f(n))
     if strict and not result.match:
         raise AssertionError(
             f"census({n}): {result.csl_count} CSLs but f({n}) = {result.f_formula}"

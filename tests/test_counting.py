@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,12 @@ def test_dirichlet_examples():
 def test_euler_product_agreement_to_50():
     direct = [f(n) for n in range(1, 51)]
     assert euler_product_coeffs(50) == direct
+
+
+def test_series_division_refuses_a_divisor_without_constant_term_one():
+    # an explicit raise, so the check holds under python -O
+    with pytest.raises(AssertionError, match="constant term 1"):
+        counting._series_div([1], [2, 1], 3)
 
 
 def test_norm_candidates():
@@ -468,34 +475,110 @@ def test_enumeration_complete_vs_exhaustive_scan(reps_by_index):
         assert fast == slow[n], f"enumeration incomplete or unsound at n={n}"
 
 
+def _keyed_classes(n, keep=None):
+    """The classes of index n (of the norms m with keep(m)), as
+    enumerate_rotations lists them, with the head walks census keys them by."""
+    memo = {}
+    norms = [m for m in norm_candidates(n) if keep is None or keep(m)]
+    pairs = [c for m in norms for c in _class_reps_by_products(m, None, memo)]
+    return [Icosian(zc) for zc, _walks in pairs], [walks for _zc, walks in pairs]
+
+
+def _partition(labels):
+    blocks = {}
+    for i, label in enumerate(labels):
+        blocks.setdefault(label, []).append(i)
+    return sorted(blocks.values())
+
+
+def _criterion_partition(reps):
+    return _partition((unit_normalize(q.nr())[0], criterion_ideal(q).rows) for q in reps)
+
+
 def test_census_stage_matches_public_routes(reps_by_index):
     """Class by class, the per-norm CSL stage of census gives the CSL of
-    phi_plus_image(extension(q)) and the rows of criterion_ideal(q).  Every
-    norm of index <= 12 is rational (alpha = 1), so the classes of the two
-    norms pi^2 and pi'^2 of index 121 are checked too (alpha = pi', pi)."""
-    cases = dict(reps_by_index)
-    cases[121] = [
-        Icosian(zc)
-        for m in norm_candidates(121)
-        if m != OInt(121, 0)
-        for zc in _class_reps_by_products(m, None, {})
-    ]
-    for n, reps in cases.items():
-        stage = list(_class_csls(n, reps))
+    phi_plus_image(extension(q)), and its keys partition the classes as
+    the unit-normal nr(q) with criterion_ideal(q) does.  Every norm of
+    index <= 12 is rational (alpha = 1), so the classes of the two norms
+    pi^2 and pi'^2 of index 121 are checked too (alpha = pi', pi; the walk
+    key has depth 1 of 2 there, 11 classes to a key)."""
+    cases = {n: _keyed_classes(n) for n in reps_by_index}
+    cases[121] = _keyed_classes(121, lambda m: m != OInt(121, 0))
+    for n, (reps, walks) in cases.items():
+        if n in reps_by_index:
+            assert [q.zc for q in reps] == [q.zc for q in reps_by_index[n]]
+        stage = list(_class_csls(n, reps, walks))
         assert len(stage) == len(reps)
-        for q, (lat, (key, rows)) in zip(reps, stage):
+        for q, (lat, (key, _walks)) in zip(reps, stage):
             assert lat.hnf == phi_plus_image(extension(q)[0]).hnf, (n, q.zc)
-            assert rows == criterion_ideal(q).rows, (n, q.zc)
             assert key == unit_normalize(q.nr())[0]
+        assert _partition(key for _lat, key in stage) == _criterion_partition(reps), n
+    reps, walks = cases[121]
+    assert len({(q.nr(), w) for q, w in zip(reps, walks)}) == 24
+
+
+@pytest.mark.parametrize(
+    "n, keep",
+    [
+        (35, None),  # sqrt5^2 at depth 1, then 7: prefixes of walk products fail
+        (45, None),  # 3^2 at full depth, sqrt5^2 at depth 1
+        (50, None),  # 2 and sqrt5^4 at depth 3
+        (125, None),  # sqrt5^6 at depth 5: 5 classes to a key
+        (605, lambda m: m == OInt(50, 15)),  # sqrt5^2 pi^2, pi over 11: both short
+    ],
+)
+def test_walk_keys_partition_as_criterion_ideals(n, keep):
+    """The oracle of the census key: the head walks with the unit-normal nr
+    partition the classes as the 16-row HNF of q I + beta I does, where
+    the norm has a prime of depth j < k (sqrt5, or the larger power of a
+    split p) and, at 605, two of them."""
+    reps, walks = _keyed_classes(n, keep)
+    keys = [(unit_normalize(q.nr())[0], w) for q, w in zip(reps, walks)]
+    assert _partition(keys) == _criterion_partition(reps)
+
+
+def test_census_split_square_matches_f(monkeypatch):
+    """The even-exponent split branch of f_prime_power against enumeration:
+    at 121 = 11^2 the classes of nr 121 have one CSL each and those of nr
+    pi^2 and pi'^2 eleven, as the keys that census checks against the CSL
+    HNFs show."""
+    stage = counting._class_csls
+    keys = []
+
+    def recorded(n, reps, walks):
+        for lat, key in stage(n, reps, walks):
+            keys.append(key)
+            yield lat, key
+
+    monkeypatch.setattr(counting, "_class_csls", recorded)
+    assert census(121).csl_count == f(121) == f_prime_power(11, 2) == 17448
+    assert Counter(Counter(keys).values()) == {1: 17424, 11: 24}
 
 
 def test_census_stage_refuses_bad_reps():
     # nr(2) = 4 has index 4, but 2 divides every coordinate
     with pytest.raises(DomainError, match="not primitive"):
-        list(_class_csls(4, [Icosian.from_int(2)]))
+        list(_class_csls(4, [Icosian.from_int(2)], [((0,),)]))
     # a unit has index 1, not 3
     with pytest.raises(AssertionError):
-        list(_class_csls(3, [Icosian.from_int(1)]))
+        list(_class_csls(3, [Icosian.from_int(1)], [()]))
+
+
+def test_census_refuses_a_key_partition_that_splits_a_csl(monkeypatch):
+    """Equal block counts are not enough: census compares the partitions.
+    Swapping the keys of two classes of different CSLs keeps 6 keys for the
+    6 CSLs of index 5, 5 classes each, but mixes two blocks."""
+    stage = counting._class_csls
+
+    def swapped(n, reps, keys):
+        keys = list(keys)
+        i = next(i for i, key in enumerate(keys) if key != keys[0])
+        keys[0], keys[i] = keys[i], keys[0]
+        return stage(n, reps, keys)
+
+    monkeypatch.setattr(counting, "_class_csls", swapped)
+    with pytest.raises(AssertionError, match="criterion dedup disagrees"):
+        census(5)
 
 
 def _primitive_ideal_count(n: int) -> int:
