@@ -26,10 +26,10 @@ first vector of its class that a full sorted short-vector search meets.
 Class counts are checked against the local ideal counts N(pi)^k +
 N(pi)^(k-1).
 
-One packed kernel (_orbit_packing) computes the orbit minima for these
+One packed kernel (_orbit_min) computes the orbit minima for these
 representatives and for the class keys of the generator search: 60 units,
-one per +-pair, in 32-bit big-endian fields, with signs and minimum chosen
-by comparing bytes.
+one per +-pair, in signed 8-, 16- or 32-bit digits, with signs chosen by
+bit masks and the minimum by comparing bytes.
 
 census(n) takes each class q to its CSL, the phi_plus image of q_alpha =
 alpha q, and keys it by its criterion ideal q I + beta I without building
@@ -37,9 +37,9 @@ it: that ideal is the product of the heads of q times I, since locally I is
 a matrix ring and the ideals above q I form a chain (proof in _class_csls),
 so the head walks name it.  alpha and the primes that could
 make q imprimitive depend on nr(q) alone, so they are computed once per
-norm, and phi_plus_image reads the images of the basis products from a
-fixed table.  census counts distinct CSL HNFs, checks the count against
-f(n) and the key partition against the HNF partition.
+norm, and alpha is folded into that norm's table of the phi_plus images of
+the basis products.  census counts distinct CSL HNFs, checks the count
+against f(n) and the key partition against the HNF partition.
 """
 
 from __future__ import annotations
@@ -76,11 +76,14 @@ from .icosian import (
     NORM_A_GRAM,
     TRACE_GRAM,
     _apply8,
+    _combine,
     _left_rows,
     _right_rows,
+    _sparse,
+    _split,
     unit_group,
 )
-from .lattice import phi_plus_image
+from .lattice import SublatticeL, _phi_plus_table
 from .shortvec import NodeBudget, enumerate_two_forms
 
 DEFAULT_NMAX = 30
@@ -250,7 +253,7 @@ def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[i
     try:
         for zc in search:
             if _orbit_min(zc) not in keys:
-                keys.update(_orbit_min(_apply8(zc, mat)) for mat in _orbit_packing().lefts)
+                keys.update(_orbit_min(_apply8(zc, mat)) for mat in _unit_matrices().lefts)
                 if len(keys) >= expected:
                     break
     finally:
@@ -260,60 +263,70 @@ def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[i
     return sorted(keys)
 
 
-# One kernel computes the least member of the unit orbit of a vector x, for
-# class_rep and the generator keys.  -1 is a unit and x*(-u) = -(x*u), so
-# the two units of a +-pair give the same sign-normalised member (last
-# nonzero coordinate positive): 60 units suffice, one per pair.  Unit t owns
-# a block of 16 fields of 32 bits, packed big-endian: the 8 coordinates of
-# x*u_t reversed, then forward.  packs[i] holds entry (i, k) of the t-th
-# matrix in both fields of coordinate k, so a = sum(x_i * packs[i]) holds
-# every x*u_t at once, and bias + a and bias - a (bias: 2^31 in every field)
-# hold them and their negatives in non-negative fields.  As bytes, blocks
-# then compare as their coordinates do lexicographically.  Of the two blocks
-# of a unit the larger has the larger reversed half, i.e. the positive last
-# nonzero coordinate; the least forward half of the 60 winners is the orbit
-# minimum, and only it is decoded.  Past the field limit _orbit_min takes the
-# plain _apply8 route.
-_ORBIT_HALF = 1 << 31
-
-
+# One kernel computes the least member of the unit orbit of x, for class_rep
+# and the generator keys.  x*(-u) = -(x*u), so 60 units, one per +-pair, give
+# every sign-normalised member (last nonzero coordinate positive).  For y =
+# x*u_t and B = 2^b, unit t owns two signed base-B numbers of W = 8b bits:
+# R_t = sum y_k B^k, of the sign of the last nonzero y_k, and F_t = sum y_k
+# B^(7-k), ordered as y is lexicographically, exact while every |y_k| < B/2
+# (|x_i| <= limit).  sum(x_i * packs[i]) + bias holds all 120 fields, each
+# non-negative: R_t biased by 2^(W-1), so that its top bit is its sign, and
+# F_t by B/2 in each digit.  Those bits choose F_t or 2 bias - F_t; as
+# big-endian bytes the least of the 60 blocks is the orbit minimum, and only
+# it is decoded.  x takes the least of 8, 16 and 32 bits that holds it, and
+# past 32 bits the plain _apply8 route.
 @lru_cache(maxsize=1)
-def _orbit_packing() -> SimpleNamespace:
-    """The packing of the matrices of x -> x*u for 60 norm-1 units u, one
-    per +-pair (units), and the readers of its bytes; limit is the largest
-    |coordinate| whose x*u fit.  lefts holds the matrices of x -> u*x for
-    the same units, for the generator search."""
+def _unit_matrices() -> SimpleNamespace:
+    """The matrices of x -> x*u (units) and x -> u*x (lefts, for the generator
+    search), u over 60 norm-1 units, and each digit width with its limit."""
     units, lefts, negated = [], [], set()
     for u in unit_group():
         if u.zc not in negated:
             units.append(tuple(_right_rows(u.zc)))
             lefts.append(tuple(_left_rows(u.zc)))
             negated.add(tuple(-v for v in u.zc))
-    nfields = 16 * len(units)
-
-    def place(f):
-        return 1 << (32 * (nfields - 1 - f))
-
-    packs = tuple(
-        sum(
-            mat[i][k] * (place(16 * t + 7 - k) + place(16 * t + 8 + k))
-            for t, mat in enumerate(units)
-            for k in range(8)
-        )
-        for i in range(8)
-    )
     widest = max(sum(abs(row[k]) for row in mat) for mat in units for k in range(8))
+    limits = tuple((b, ((1 << (b - 1)) - 1) // widest) for b in (8, 16, 32))
+    return SimpleNamespace(units=tuple(units), lefts=tuple(lefts), limits=limits)
+
+
+@lru_cache(maxsize=3)
+def _orbit_packing(bits: int) -> SimpleNamespace:
+    """The packing of the 60 unit matrices in digits of the given bits, and
+    the constants and readers of _orbit_blocks and _orbit_min."""
+    units = _unit_matrices().units
+    n, width, base = len(units), 8 * bits, 1 << bits
+
+    def place(f):  # R_t is field t, F_t field n + t, from the top
+        return 1 << (width * (2 * n - 1 - f))
+
+    packs = [0] * 8
+    for (t, mat), i, k in itertools.product(enumerate(units), range(8), range(8)):
+        packs[i] += mat[i][k] * (base**k * place(t) + base ** (7 - k) * place(n + t))
+    ones = sum(map(place, range(n, 2 * n)))
+    digits = (base // 2) * (base**8 - 1) // (base - 1) * ones
     return SimpleNamespace(
-        units=tuple(units),
-        lefts=tuple(lefts),
         packs=packs,
-        bias=_ORBIT_HALF * sum(map(place, range(nfields))),
-        nbytes=4 * nfields,
-        blocks=itemgetter(*(slice(64 * t, 64 * t + 64) for t in range(len(units)))),
-        forward=itemgetter(slice(32, 64)),
-        unpack=Struct(">32x8I").unpack,  # a block -> its biased forward fields
-        limit=(_ORBIT_HALF - 1) // widest,
+        bias=digits + (1 << (width - 1)) * sum(map(place, range(n))),
+        sign_shift=width * (n + 1) - 1,
+        ones=ones,
+        field=(1 << width) - 1,
+        low=(1 << (width * n)) - 1,
+        negate=2 * digits,
+        nbytes=bits * n,
+        blocks=itemgetter(*(slice(bits * t, bits * (t + 1)) for t in range(n))),
+        unpack=Struct(">8" + {8: "B", 16: "H", 32: "I"}[bits]).unpack,
+        half=base // 2,
     )
+
+
+def _orbit_bits(zc: tuple[int, ...]) -> int | None:
+    """The least digit width that holds the orbit of x, None past 32 bits."""
+    top = max(map(abs, zc))
+    for bits, limit in _unit_matrices().limits:
+        if top <= limit:
+            return bits
+    return None
 
 
 def _last_positive(o: tuple[int, ...]) -> tuple[int, ...]:
@@ -323,31 +336,30 @@ def _last_positive(o: tuple[int, ...]) -> tuple[int, ...]:
     return o
 
 
-def _orbit_blocks(zc: tuple[int, ...], pk: SimpleNamespace):
-    """The 60 blocks of the sign-normalised x*u, or None if a coordinate of
-    x is past the field limit."""
-    if max(map(abs, zc)) > pk.limit:
-        return None
-    a = sum(map(mul, zc, pk.packs))
-    plus = (pk.bias + a).to_bytes(pk.nbytes, "big")
-    minus = (pk.bias - a).to_bytes(pk.nbytes, "big")
-    return map(max, pk.blocks(plus), pk.blocks(minus))
+def _orbit_blocks(zc: tuple[int, ...], pk: SimpleNamespace) -> tuple[bytes, ...]:
+    """The 60 sign-normalised x*u as biased big-endian digit blocks, for x
+    within the limit of pk's width."""
+    a = sum(map(mul, zc, pk.packs), pk.bias)
+    fwd = a & pk.low
+    keep = ((a >> pk.sign_shift) & pk.ones) * pk.field
+    chosen = (fwd & keep) | ((pk.negate - fwd) & (pk.low ^ keep))
+    return pk.blocks(chosen.to_bytes(pk.nbytes, "big"))
 
 
 def _orbit(zc: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The 60 sign-normalised x*u, one per +-pair of norm-1 units u, by the
     plain apply loop."""
-    return [_last_positive(_apply8(zc, mat)) for mat in _orbit_packing().units]
+    return [_last_positive(_apply8(zc, mat)) for mat in _unit_matrices().units]
 
 
 def _orbit_min(zc: tuple[int, ...]) -> tuple[int, ...]:
     """The least x*u over the 120 norm-1 units u, each taken with the sign
     that makes its last nonzero coordinate positive."""
-    pk = _orbit_packing()
-    chosen = _orbit_blocks(zc, pk)
-    if chosen is None:
+    bits = _orbit_bits(zc)
+    if bits is None:
         return min(_orbit(zc))
-    return tuple(v - _ORBIT_HALF for v in pk.unpack(min(chosen, key=pk.forward)))
+    pk = _orbit_packing(bits)
+    return tuple(v - pk.half for v in pk.unpack(min(_orbit_blocks(zc, pk))))
 
 
 def class_rep(q: Icosian) -> tuple[int, ...]:
@@ -489,16 +501,19 @@ class SigmaCensus:
 
 
 def _norm_data(m: OInt, n: int):
-    """What the CSL stage needs of a reduced norm m of index n: alpha with
-    nr(alpha q) = n (so m is admissible), the unit-normal form of m and the
-    primes whose square divides m."""
+    """What the CSL stage needs of a reduced norm m of index n: the table of
+    q -> the rows of phi_plus(alpha q I) in L, nr(alpha q) = n (so m is
+    admissible), the unit-normal form of m and the primes whose square divides m."""
     if lcm_o(m, m.conj()) != OInt(n, 0):
         raise AssertionError(f"lcm of {m} and its conjugate is not {n}")
     alpha = sqrt_o(OInt(n, 0).exact_div(m))
     if alpha is None:
         raise AssertionError(f"{n}/{m} must be a square in o")
+    table = _sparse(
+        _combine(row, _phi_plus_table(), 32) for row in _left_rows(Icosian.from_o(alpha).zc)
+    )
     repeated = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
-    return alpha, unit_normalize(m)[0], repeated
+    return table, unit_normalize(m)[0], repeated
 
 
 def _class_csls(n: int, reps: list[Icosian], walks):
@@ -522,10 +537,10 @@ def _class_csls(n: int, reps: list[Icosian], walks):
         m = q.nr()
         if m not in per_norm:
             per_norm[m] = _norm_data(m, n)
-        alpha, key, repeated = per_norm[m]
+        table, key, repeated = per_norm[m]
         if any(_divides(pi, q) for pi in repeated):
             raise DomainError(f"class rep {q} is not primitive")
-        lat = phi_plus_image(q.scale_o(alpha))
+        lat = SublatticeL.from_integer_rows(_split(_combine(q.zc, table, 32), 4))
         if lat.index != n:
             raise DomainError(f"CSL index {lat.index} != {n} for {q}")
         yield lat, (key, w)

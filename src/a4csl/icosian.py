@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import add, sub
 
 from .errors import DomainError
 from .field import (
@@ -242,17 +243,24 @@ def _apply8(x, mat) -> tuple[int, ...]:
 
 def _zc_of_quat_strict(q: Quat) -> tuple[int, ...]:
     ico = Icosian.from_quat(q)
-    assert ico is not None, f"expected an icosian, got {q}"
+    if ico is None:
+        raise AssertionError(f"expected an icosian, got {q}")
     return ico.zc
 
 
-# Structure tables (integer, built once).
-_MUL = tuple(
-    tuple(_zc_of_quat_strict(ZBASIS_QUATS[i] * ZBASIS_QUATS[j]) for j in range(8))
-    for i in range(8)
-)
-_TW8 = tuple(_zc_of_quat_strict(zb.twist()) for zb in ZBASIS_QUATS)
-_CJ8 = tuple(_zc_of_quat_strict(zb.conj()) for zb in ZBASIS_QUATS)
+def _tau_times(zc) -> tuple[int, ...]:
+    return zc[4:] + tuple(map(add, zc[:4], zc[4:]))  # tau (a + b tau) = b + (a + b) tau
+
+
+# Structure tables (integer, built once) from e_i e_j, conj(e_i) and twist(e_i):
+# zb_(i+4) = tau e_i, the product is o-linear and twist(tau x) = (1 - tau) twist(x).
+_MUL = [[_zc_of_quat_strict(x * y) for y in BASIS] for x in BASIS]
+_MUL = [[*row, *map(_tau_times, row)] for row in _MUL]
+_MUL = tuple(map(tuple, _MUL + [list(map(_tau_times, row)) for row in _MUL]))
+_CJ8 = tuple(_zc_of_quat_strict(b.conj()) for b in BASIS)
+_CJ8 += tuple(map(_tau_times, _CJ8))
+_TW8 = tuple(_zc_of_quat_strict(b.twist()) for b in BASIS)
+_TW8 += tuple(tuple(map(sub, zc, _tau_times(zc))) for zc in _TW8)
 
 
 def _sparse(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -293,8 +301,8 @@ def _right_rows(zc) -> list[tuple[int, ...]]:
     return _split(_combine(zc, _RIGHT, 64), 8)
 
 
-for _b in BASIS:
-    assert _b.nr() == KNum.of(1)
+if any(b.nr() != KNum.of(1) for b in BASIS):
+    raise AssertionError("the o-basis of I must consist of units")
 _TR4 = tuple(b.tr().to_oint() for b in BASIS)
 
 ZB_ICO = tuple(Icosian(tuple(int(i == j) for j in range(8))) for i in range(8))
@@ -302,10 +310,7 @@ ZB_ICO = tuple(Icosian(tuple(int(i == j) for j in range(8))) for i in range(8))
 # Doubled bilinear tables on the Z-basis: tr(zb_i * conj(zb_j)) in o, plus its
 # a-part, b-part and rational trace.  x^T NORM_A_GRAM x == 2 * (a of nr(x)),
 # x^T TRACE_GRAM x == 2 * Tr(nr(x)).
-_TRG8 = tuple(
-    tuple((ZBASIS_QUATS[i] * ZBASIS_QUATS[j].conj()).tr().to_oint() for j in range(8))
-    for i in range(8)
-)
+_TRG8 = tuple(tuple(Icosian(_apply8(cj, row)).tr_q() for cj in _CJ8) for row in _MUL)
 NORM_A_GRAM = tuple(tuple(w.a for w in row) for row in _TRG8)
 NORM_B_GRAM = tuple(tuple(w.b for w in row) for row in _TRG8)
 TRACE_GRAM = tuple(tuple(w.trace() for w in row) for row in _TRG8)
@@ -402,7 +407,8 @@ def unit_group() -> tuple[Icosian, ...]:
                     seen.add(y.zc)
                     fresh.append(y)
         frontier = fresh
-    assert len(seen) == 120, f"unit closure has {len(seen)} elements"
+    if len(seen) != 120:
+        raise AssertionError(f"unit closure has {len(seen)} elements")
     return tuple(Icosian(z) for z in sorted(seen))
 
 

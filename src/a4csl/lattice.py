@@ -34,7 +34,8 @@ L_BASIS = (
 )
 
 B_ICO = tuple(Icosian.from_quat(b) for b in L_BASIS)
-assert all(b is not None for b in B_ICO), "L basis must lie in I"
+if any(b is None for b in B_ICO):
+    raise AssertionError("L basis must lie in I")
 B_ZC = tuple(b.zc for b in B_ICO)
 
 
@@ -70,7 +71,8 @@ GRAM_INV, GRAM_DET = _inverse_and_det(GRAM)
 # basis order), used for the fast integer coordinate path.
 _LEAD = [[B_ZC[i][j] for j in range(4)] for i in range(4)]
 _lead_inv, _lead_det = _inverse_and_det(_LEAD)
-assert abs(_lead_det) == 1, "leading block of the L basis must be unimodular"
+if abs(_lead_det) != 1:
+    raise AssertionError("leading block of the L basis must be unimodular")
 _LEAD_INV = tuple(tuple(int(v) for v in row) for row in _lead_inv)
 
 
@@ -224,7 +226,8 @@ def conjugation_matrix_L() -> tuple[tuple[int, ...], ...]:
     cols = []
     for b in B_ICO:
         coords = int_L_coords(b.conj())
-        assert coords is not None, "conjugation must preserve L"
+        if coords is None:
+            raise AssertionError("conjugation must preserve L")
         cols.append(coords)
     return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
 

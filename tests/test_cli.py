@@ -147,6 +147,7 @@ GOLDEN = Path(__file__).parent / "golden"
     "argv, name, code",
     [
         (["--output", "json", "enumerate", "10"], "enumerate10.json", 0),
+        (["--output", "json", "enumerate", "23"], "enumerate23.json", 0),
         (["census", "--nmax", "8"], "census_nmax8.csv", 0),
         (["--budget", "20", "census", "--nmax", "9"], "census_nmax9_budget20.csv", 4),
         (["selftest"], "selftest.txt", 0),
@@ -154,7 +155,7 @@ GOLDEN = Path(__file__).parent / "golden"
         (["--output", "json", "csl", "(1+t,t,t,1)"], "csl_1tt1.json", 0),
         (["--output", "json", "rot", "(t,2*t,0,0)"], "rot_worked.json", 0),
     ],
-    ids=["enumerate10", "census8", "census9-budget20", "selftest", "equal", "csl", "rot"],
+    ids=["enumerate10", "enumerate23", "census8", "census9-budget20", "selftest", "equal", "csl", "rot"],
 )
 def test_golden_output(capsys, argv, name, code):
     got_code, out, _ = run(capsys, *argv)

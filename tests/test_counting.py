@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -24,10 +25,12 @@ from a4csl.counting import (
     _class_csls,
     _class_reps_by_products,
     _orbit,
+    _orbit_bits,
     _orbit_blocks,
     _orbit_min,
     _orbit_packing,
     _totally_positive,
+    _unit_matrices,
     census,
     census_csv,
     census_table,
@@ -194,20 +197,37 @@ def test_enumeration_matches_short_vector_route():
         assert [q.zc for q in enumerate_rotations(n, memo=memo)] == dfs, n
 
 
+def _limits():
+    """(bits, limit) of each digit width of the packed kernel, narrowest first."""
+    return list(_unit_matrices().limits)
+
+
+def _route(top):
+    """The digit width that holds coordinates up to top, None past the widest."""
+    return next((bits for bits, limit in _limits() if top <= limit), None)
+
+
+def test_orbit_widths_and_limits():
+    # The widest column sum of a unit matrix is 10: |x_i| <= limit keeps
+    # every coordinate of x*u within B/2 - 1.
+    assert _limits() == [(8, 12), (16, 3_276), (32, 214_748_364)]
+
+
 def test_orbit_min_packed_and_plain_paths_agree():
     # Scaling by c > 0 scales the orbit minimum.  The largest c that keeps
-    # every coordinate within the field limit stays packed; limit + 1 and
-    # 2**62 take the coordinates past the 32-bit fields, onto the plain
-    # apply loop.
-    limit = _orbit_packing().limit
+    # every coordinate within a width's limit takes that width (or a
+    # narrower one); the limit of the 32-bit digits plus one and 2**62 take
+    # the plain apply loop.
+    wide = _limits()[-1][1]
     for n in (1, 2, 5, 9, 11):
         for q in enumerate_rotations(n):
-            top = limit // max(map(abs, q.zc))
-            for c in (1, 3, top, limit + 1, 2**62):
+            top = max(map(abs, q.zc))
+            tops = [limit // top for _bits, limit in _limits()]
+            for c in (1, 3, *tops, wide + 1, 2**62):
                 scaled = tuple(c * v for v in q.zc)
-                assert _orbit_min(scaled) == tuple(c * v for v in q.zc)
-                packed = _orbit_blocks(scaled, _orbit_packing()) is not None
-                assert packed == (c <= top)
+                assert _orbit_min(scaled) == scaled == min(_plain_orbit(scaled))
+                assert _orbit_bits(scaled) == _route(c * top)
+            assert [_orbit_bits(tuple(c * v for v in q.zc)) for c in tops] == [8, 16, 32]
 
 
 def _sign_normalised(o):
@@ -220,12 +240,32 @@ def _plain_orbit(zc):
     return {_sign_normalised(_apply8(zc, mat)) for mat in unit_right_mul_matrices()}
 
 
+def _decoded_blocks(zc, bits):
+    """The 60 members of the orbit of x read back from the packed blocks of
+    the given digit width."""
+    pk = _orbit_packing(bits)
+    return {tuple(v - pk.half for v in pk.unpack(b)) for b in _orbit_blocks(zc, pk)}
+
+
+def _check_orbit(zc):
+    """The kernel against the plain orbit over all 120 unit matrices; on
+    the packed routes every decoded block too."""
+    plain = _plain_orbit(zc)
+    assert _orbit_min(zc) == min(plain)
+    members = _orbit(zc)
+    assert len(members) == 60 and set(members) == plain
+    bits = _orbit_bits(zc)
+    if bits is not None:
+        assert _decoded_blocks(zc, bits) == plain
+
+
 @st.composite
 def _orbit_vectors(draw):
-    """Coordinates up to a cap just below, at or just above the field
-    limit, or past 2**63; one coordinate sits at +-cap."""
-    limit = _orbit_packing().limit
-    cap = draw(st.sampled_from((3, limit - 1, limit, limit + 1, 2**63 - 1, 2**63 + 1, 2**70)))
+    """Coordinates up to a cap just below, at or just above the limit of
+    each digit width, or at or past 2**63; one coordinate sits at +-cap."""
+    caps = [3, 2**63 - 1, 2**63 + 1, 2**70]
+    caps += [limit + d for _bits, limit in _limits() for d in (-1, 0, 1)]
+    cap = draw(st.sampled_from(caps))
     zc = draw(st.lists(st.integers(-cap, cap), min_size=8, max_size=8))
     zc[draw(st.integers(0, 7))] = draw(st.sampled_from((cap, -cap)))
     return tuple(zc)
@@ -234,28 +274,37 @@ def _orbit_vectors(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_orbit_vectors())
 def test_packed_orbit_matches_plain_apply_over_all_units(zc):
-    plain = _plain_orbit(zc)
-    assert _orbit_min(zc) == min(plain)
-    members = _orbit(zc)
-    assert len(members) == 60 and set(members) == plain
+    assert _orbit_bits(zc) == _route(max(map(abs, zc)))
+    _check_orbit(zc)
 
 
 def test_orbit_fields_hold_the_widest_sum():
-    """A vector at the limit whose signs match the widest column of a unit
-    matrix fills that field to widest * limit and still takes the packed
-    route; one step further it takes the plain route."""
-    pk = _orbit_packing()
-    limit = pk.limit
+    """A vector at a width's limit whose signs match the widest column of a
+    unit matrix fills that digit to widest * limit and still takes that
+    width; one step further it takes the next width, and past the 32-bit
+    digits the plain route.  Every sign pattern of that column agrees too."""
     mat, k = max(
-        ((mat, k) for mat in pk.units for k in range(8)),
+        ((mat, k) for mat in _unit_matrices().units for k in range(8)),
         key=lambda mk: sum(abs(row[mk[1]]) for row in mk[0]),
     )
     signs = tuple((row[k] > 0) - (row[k] < 0) for row in mat)
-    for c, packed in ((limit, True), (limit + 1, False)):
-        zc = tuple(c * s for s in signs)
-        assert (_orbit_blocks(zc, pk) is not None) == packed
-        assert _orbit_min(zc) == min(_plain_orbit(zc))
-        assert set(_orbit(zc)) == _plain_orbit(zc)
+    assert sum(abs(row[k]) for row in mat) == 10
+    widths = [bits for bits, _limit in _limits()]
+    for (bits, limit), wider in zip(_limits(), widths[1:] + [None]):
+        for c, route in ((limit - 1, bits), (limit, bits), (limit + 1, wider)):
+            zc = tuple(c * s for s in signs)
+            assert _orbit_bits(zc) == route
+            assert abs(_apply8(zc, mat)[k]) == 10 * c
+            _check_orbit(zc)
+    narrow = _limits()[0][1]
+    for flips in itertools.product((1, -1), repeat=sum(map(abs, signs))):
+        it = iter(flips)
+        zc = tuple(narrow * s * next(it) if s else 0 for s in signs)
+        assert _orbit_bits(zc) == 8
+        _check_orbit(zc)
+    for zc in ((2**63 - 1,) * 8, (-(2**63) - 1,) + (0,) * 7, (0,) * 7 + (2**70,)):
+        assert _orbit_bits(zc) is None
+        _check_orbit(zc)
 
 
 def _dedup_by_seen_set(m, vecs):

@@ -16,7 +16,11 @@ from a4csl.icosian import (
     Icosian,
     Rank8Module,
     ZB_ICO,
+    ZBASIS_QUATS,
+    _CJ8,
     _MUL,
+    _TRG8,
+    _TW8,
     _apply8,
     _balance,
     _content_norm,
@@ -386,6 +390,24 @@ def _dense_product(xc, yc):
 @given(_ZC, _ZC)
 def test_product_matches_dense_table_loop(zc, xc):
     assert (Icosian(zc) * Icosian(xc)).zc == _dense_product(zc, xc)
+
+
+def test_structure_tables_match_the_rational_derivation():
+    """The integer tables, read off the products, conjugates and twists of
+    e_1..e_4 by o-linearity, equal the change of basis of every rational
+    zb_i zb_j, conj(zb_i) and twist(zb_i), and the doubled trace form equals
+    tr(zb_i conj(zb_j)) computed on quaternions."""
+
+    def zc_of(q):
+        ico = Icosian.from_quat(q)
+        assert ico is not None
+        return ico.zc
+
+    zbs = ZBASIS_QUATS
+    assert _MUL == tuple(tuple(zc_of(x * y) for y in zbs) for x in zbs)
+    assert _CJ8 == tuple(zc_of(x.conj()) for x in zbs)
+    assert _TW8 == tuple(zc_of(x.twist()) for x in zbs)
+    assert _TRG8 == tuple(tuple((x * y.conj()).tr().to_oint() for y in zbs) for x in zbs)
 
 
 def test_unit_right_mul_matrices_match_per_basis_products():
