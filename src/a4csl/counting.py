@@ -26,10 +26,11 @@ first vector of its class that a full sorted short-vector search meets.
 Class counts are checked against the local ideal counts N(pi)^k +
 N(pi)^(k-1).
 
-One packed kernel (_orbit_min) computes the orbit minima for these
+The packed kernel icosian._orbit_min computes the orbit minima for these
 representatives and for the class keys of the generator search: 60 units,
 one per +-pair, in signed 8-, 16- or 32-bit digits, with signs chosen by
-bit masks and the minimum by comparing bytes.
+bit masks and the minimum by comparing bytes.  Every product is x*g read
+through the rows of I*g (_right_rows), taken once per generator or part.
 
 census(n) takes each class q to its CSL, the phi_plus image of q_alpha =
 alpha q, and keys it by its criterion ideal q I + beta I without building
@@ -47,11 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
-from operator import itemgetter, mul
-from struct import Struct
-from types import SimpleNamespace
 
 from .errors import BudgetError, DomainError
 from .field import (
@@ -71,17 +68,22 @@ from .field import (
     tau_pow,
     unit_normalize,
 )
-from .icosian import (
+from .icosian import (  # the orbit kernel's helpers are named here for its tests
     Icosian,
     NORM_A_GRAM,
     TRACE_GRAM,
     _apply8,
     _combine,
     _left_rows,
+    _orbit,
+    _orbit_bits,
+    _orbit_blocks,
+    _orbit_min,
+    _orbit_packing,
     _right_rows,
     _sparse,
     _split,
-    unit_group,
+    _unit_matrices,
 )
 from .lattice import SublatticeL, _phi_plus_table
 from .shortvec import NodeBudget, enumerate_two_forms
@@ -263,105 +265,6 @@ def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[i
     return sorted(keys)
 
 
-# One kernel computes the least member of the unit orbit of x, for class_rep
-# and the generator keys.  x*(-u) = -(x*u), so 60 units, one per +-pair, give
-# every sign-normalised member (last nonzero coordinate positive).  For y =
-# x*u_t and B = 2^b, unit t owns two signed base-B numbers of W = 8b bits:
-# R_t = sum y_k B^k, of the sign of the last nonzero y_k, and F_t = sum y_k
-# B^(7-k), ordered as y is lexicographically, exact while every |y_k| < B/2
-# (|x_i| <= limit).  sum(x_i * packs[i]) + bias holds all 120 fields, each
-# non-negative: R_t biased by 2^(W-1), so that its top bit is its sign, and
-# F_t by B/2 in each digit.  Those bits choose F_t or 2 bias - F_t; as
-# big-endian bytes the least of the 60 blocks is the orbit minimum, and only
-# it is decoded.  x takes the least of 8, 16 and 32 bits that holds it, and
-# past 32 bits the plain _apply8 route.
-@lru_cache(maxsize=1)
-def _unit_matrices() -> SimpleNamespace:
-    """The matrices of x -> x*u (units) and x -> u*x (lefts, for the generator
-    search), u over 60 norm-1 units, and each digit width with its limit."""
-    units, lefts, negated = [], [], set()
-    for u in unit_group():
-        if u.zc not in negated:
-            units.append(tuple(_right_rows(u.zc)))
-            lefts.append(tuple(_left_rows(u.zc)))
-            negated.add(tuple(-v for v in u.zc))
-    widest = max(sum(abs(row[k]) for row in mat) for mat in units for k in range(8))
-    limits = tuple((b, ((1 << (b - 1)) - 1) // widest) for b in (8, 16, 32))
-    return SimpleNamespace(units=tuple(units), lefts=tuple(lefts), limits=limits)
-
-
-@lru_cache(maxsize=3)
-def _orbit_packing(bits: int) -> SimpleNamespace:
-    """The packing of the 60 unit matrices in digits of the given bits, and
-    the constants and readers of _orbit_blocks and _orbit_min."""
-    units = _unit_matrices().units
-    n, width, base = len(units), 8 * bits, 1 << bits
-
-    def place(f):  # R_t is field t, F_t field n + t, from the top
-        return 1 << (width * (2 * n - 1 - f))
-
-    packs = [0] * 8
-    for (t, mat), i, k in itertools.product(enumerate(units), range(8), range(8)):
-        packs[i] += mat[i][k] * (base**k * place(t) + base ** (7 - k) * place(n + t))
-    ones = sum(map(place, range(n, 2 * n)))
-    digits = (base // 2) * (base**8 - 1) // (base - 1) * ones
-    return SimpleNamespace(
-        packs=packs,
-        bias=digits + (1 << (width - 1)) * sum(map(place, range(n))),
-        sign_shift=width * (n + 1) - 1,
-        ones=ones,
-        field=(1 << width) - 1,
-        low=(1 << (width * n)) - 1,
-        negate=2 * digits,
-        nbytes=bits * n,
-        blocks=itemgetter(*(slice(bits * t, bits * (t + 1)) for t in range(n))),
-        unpack=Struct(">8" + {8: "B", 16: "H", 32: "I"}[bits]).unpack,
-        half=base // 2,
-    )
-
-
-def _orbit_bits(zc: tuple[int, ...]) -> int | None:
-    """The least digit width that holds the orbit of x, None past 32 bits."""
-    top = max(map(abs, zc))
-    for bits, limit in _unit_matrices().limits:
-        if top <= limit:
-            return bits
-    return None
-
-
-def _last_positive(o: tuple[int, ...]) -> tuple[int, ...]:
-    for v in reversed(o):
-        if v:
-            return o if v > 0 else tuple(-v for v in o)
-    return o
-
-
-def _orbit_blocks(zc: tuple[int, ...], pk: SimpleNamespace) -> tuple[bytes, ...]:
-    """The 60 sign-normalised x*u as biased big-endian digit blocks, for x
-    within the limit of pk's width."""
-    a = sum(map(mul, zc, pk.packs), pk.bias)
-    fwd = a & pk.low
-    keep = ((a >> pk.sign_shift) & pk.ones) * pk.field
-    chosen = (fwd & keep) | ((pk.negate - fwd) & (pk.low ^ keep))
-    return pk.blocks(chosen.to_bytes(pk.nbytes, "big"))
-
-
-def _orbit(zc: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The 60 sign-normalised x*u, one per +-pair of norm-1 units u, by the
-    plain apply loop."""
-    return [_last_positive(_apply8(zc, mat)) for mat in _unit_matrices().units]
-
-
-def _orbit_min(zc: tuple[int, ...]) -> tuple[int, ...]:
-    """The least x*u over the 120 norm-1 units u, each taken with the sign
-    that makes its last nonzero coordinate positive."""
-    bits = _orbit_bits(zc)
-    if bits is None:
-        return min(_orbit(zc))
-    pk = _orbit_packing(bits)
-    return tuple(v - pk.half for v in pk.unpack(min(_orbit_blocks(zc, pk))))
-
-
 def class_rep(q: Icosian) -> tuple[int, ...]:
     """The coordinate vector enumerate_rotations lists for the class q*I.
 
@@ -396,12 +299,12 @@ def _prime_power_classes(
         if k == 1:
             memo[key] = [(Icosian(zc), (t,)) for t, zc in enumerate(prime_class_reps(pi, budget))]
         else:
-            gens = list(enumerate(_prime_power_classes(pi, 1, budget, memo)))
+            gens = [_right_rows(g.zc) for g, _ in _prime_power_classes(pi, 1, budget, memo)]
             memo[key] = [
                 (x, walk + (t,))
                 for q, walk in _prime_power_classes(pi, k - 1, budget, memo)
-                for t, (g, _) in gens
-                if not _divides(pi, x := q * g)
+                for t, rows in enumerate(gens)
+                if not _divides(pi, x := Icosian(_apply8(q.zc, rows)))
             ]
     return memo[key]
 
@@ -444,10 +347,19 @@ def _class_reps_by_products(
     # One multiplication per part and product; a tail is checked once it is on.
     products = [(q, (walk,)) for q, walk in heads[0]]
     for part in heads[1:]:
-        products = [(x * q, walks + (walk,)) for x, walks in products for q, walk in part]
-    for pi, part in zip(cut, tails):
+        part = [(_right_rows(q.zc), walk) for q, walk in part]
         products = [
-            (y, walks) for x, walks in products for q, _ in part if not _divides(pi, y := x * q)
+            (Icosian(_apply8(x.zc, rows)), walks + (walk,))
+            for x, walks in products
+            for rows, walk in part
+        ]
+    for pi, part in zip(cut, tails):
+        part = [_right_rows(q.zc) for q, _ in part]
+        products = [
+            (y, walks)
+            for x, walks in products
+            for rows in part
+            if not _divides(pi, y := Icosian(_apply8(x.zc, rows)))
         ]
     # Every product has nr = nr above, so one tau^2 scaling (a central
     # scalar, one integer matrix) takes them all to the norm candidate.

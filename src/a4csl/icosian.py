@@ -35,11 +35,14 @@ input.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import add, sub
+from operator import add, itemgetter, mul, sub
+from struct import Struct
+from types import SimpleNamespace
 
 from .errors import DomainError
 from .field import (
@@ -49,6 +52,7 @@ from .field import (
     gauss_jordan,
     gcd_o,
     sqrt_o,
+    tau_pow,
     unit_normalize,
 )
 from .hnf import diagonal_product, hnf_square, contains as hnf_contains
@@ -418,6 +422,107 @@ def unit_right_mul_matrices() -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(_right_rows(u.zc)) for u in unit_group())
 
 
+# One kernel computes the least member of the unit orbit of x, each member
+# taken with its last nonzero coordinate positive (counting's class_rep and
+# generator keys) or its first (glcd).  x*(-u) = -(x*u), so 60 units, one per
+# +-pair, give every sign-normalised member.  For y = x*u_t and B = 2^b, unit
+# t owns two signed base-B numbers of W = 8b bits: F_t = sum y_k B^(7-k),
+# ordered as y is lexicographically, and R_t, of the sign of the normalising
+# coordinate: sum y_k B^k for the last, F_t again for the first.  Both are
+# exact while every |y_k| < B/2 (|x_i| <= limit).  sum(x_i * packs[i]) + bias
+# holds all 120 fields, each non-negative: R_t biased by 2^(W-1), so that its
+# top bit is its sign, and F_t by B/2 in each digit.  Those bits choose F_t or
+# 2 bias - F_t; as big-endian bytes the least of the 60 blocks is the orbit
+# minimum, and only it is decoded.  x takes the least of 8, 16 and 32 bits
+# that holds it, and past 32 bits the plain _apply8 route.
+@lru_cache(maxsize=1)
+def _unit_matrices() -> SimpleNamespace:
+    """The matrices of x -> x*u (units) and x -> u*x (lefts, for the generator
+    search), u over 60 norm-1 units, and each digit width with its limit."""
+    units, lefts, negated = [], [], set()
+    for u in unit_group():
+        if u.zc not in negated:
+            units.append(tuple(_right_rows(u.zc)))
+            lefts.append(tuple(_left_rows(u.zc)))
+            negated.add(tuple(-v for v in u.zc))
+    widest = max(sum(abs(row[k]) for row in mat) for mat in units for k in range(8))
+    limits = tuple((b, ((1 << (b - 1)) - 1) // widest) for b in (8, 16, 32))
+    return SimpleNamespace(units=tuple(units), lefts=tuple(lefts), limits=limits)
+
+
+@lru_cache(maxsize=6)
+def _orbit_packing(bits: int, first: bool = False) -> SimpleNamespace:
+    """The packing of the 60 unit matrices in digits of the given bits, for
+    the first (or last) nonzero coordinate positive, and the constants and
+    readers of _orbit_blocks and _orbit_min."""
+    units = _unit_matrices().units
+    n, width, base = len(units), 8 * bits, 1 << bits
+
+    def place(f):  # R_t is field t, F_t field n + t, from the top
+        return 1 << (width * (2 * n - 1 - f))
+
+    packs = [0] * 8
+    for (t, mat), i, k in itertools.product(enumerate(units), range(8), range(8)):
+        sign = base ** (7 - k) if first else base**k
+        packs[i] += mat[i][k] * (sign * place(t) + base ** (7 - k) * place(n + t))
+    ones = sum(map(place, range(n, 2 * n)))
+    digits = (base // 2) * (base**8 - 1) // (base - 1) * ones
+    return SimpleNamespace(
+        packs=packs,
+        bias=digits + (1 << (width - 1)) * sum(map(place, range(n))),
+        sign_shift=width * (n + 1) - 1,
+        ones=ones,
+        field=(1 << width) - 1,
+        low=(1 << (width * n)) - 1,
+        negate=2 * digits,
+        nbytes=bits * n,
+        blocks=itemgetter(*(slice(bits * t, bits * (t + 1)) for t in range(n))),
+        unpack=Struct(">8" + {8: "B", 16: "H", 32: "I"}[bits]).unpack,
+        half=base // 2,
+    )
+
+
+def _orbit_bits(zc: tuple[int, ...]) -> int | None:
+    """The least digit width that holds the orbit of x, None past 32 bits."""
+    top = max(map(abs, zc))
+    for bits, limit in _unit_matrices().limits:
+        if top <= limit:
+            return bits
+    return None
+
+
+def _sign_normal(o, first: bool = False) -> tuple[int, ...]:
+    """o, or -o, with its first (or last) nonzero coordinate positive."""
+    lead = next((v for v in (o if first else reversed(o)) if v), 0)
+    return tuple(o) if lead >= 0 else tuple(-v for v in o)
+
+
+def _orbit_blocks(zc: tuple[int, ...], pk: SimpleNamespace) -> tuple[bytes, ...]:
+    """The 60 sign-normalised x*u as biased big-endian digit blocks, for x
+    within the limit of pk's width."""
+    a = sum(map(mul, zc, pk.packs), pk.bias)
+    fwd = a & pk.low
+    keep = ((a >> pk.sign_shift) & pk.ones) * pk.field
+    chosen = (fwd & keep) | ((pk.negate - fwd) & (pk.low ^ keep))
+    return pk.blocks(chosen.to_bytes(pk.nbytes, "big"))
+
+
+def _orbit(zc: tuple[int, ...], first: bool = False) -> list[tuple[int, ...]]:
+    """The 60 sign-normalised x*u, one per +-pair of norm-1 units u, by the
+    plain apply loop."""
+    return [_sign_normal(_apply8(zc, mat), first) for mat in _unit_matrices().units]
+
+
+def _orbit_min(zc: tuple[int, ...], first: bool = False) -> tuple[int, ...]:
+    """The least x*u over the 120 norm-1 units u, each taken with the sign
+    that makes its last (or first) nonzero coordinate positive."""
+    bits = _orbit_bits(zc)
+    if bits is None:
+        return min(_orbit(zc, first))
+    pk = _orbit_packing(bits, first)
+    return tuple(v - pk.half for v in pk.unpack(min(_orbit_blocks(zc, pk))))
+
+
 def same_right_ideal(r: Icosian, s: Icosian) -> bool:
     """rI == sI, i.e. s^-1 r lies in I and its reduced norm is a unit."""
     if r.is_zero() or s.is_zero():
@@ -480,8 +585,10 @@ def glcd(p: Icosian, beta: OInt) -> Icosian:
     Unique up to right units; the returned representative is deterministic:
     among generators of minimal trace norm, the one whose coordinate vector
     is lexicographically smallest with first nonzero coordinate positive.
-    It is found by a ball search on an LLL-reduced basis of the module; the
-    order is defined on I-coordinates, so it does not depend on that basis.
+    A ball search on an LLL-reduced basis of the module stops at its first
+    generator x; the answer is read off the unit orbits of x*tau^k for the
+    one or two k of least trace (_least_generator).  The order is defined on
+    I-coordinates, so it depends neither on that basis nor on x.
     """
     if p.is_zero() or beta.is_zero():
         raise DomainError("glcd requires nonzero arguments")
@@ -490,35 +597,47 @@ def glcd(p: Icosian, beta: OInt) -> Icosian:
     v = isqrt(idx)
     if v * v != idx:
         raise AssertionError("right-ideal index must be a square")
-    # Some generator associate has Tr(nr) <= sqrt(5 v); enumerate that ball.
+    # Some generator associate has Tr(nr) <= sqrt(5 v); search that ball.
     # Any member of mod with N(nr) = v generates it: its right ideal lies in
     # mod and has the same index v^2.
     q8max = 1 + isqrt(5 * v - 1)  # ceil(sqrt(5 v))
     basis, gram = _lll(mod.rows, TRACE_GRAM)
-    cands = []
-    for coeffs, val in enumerate_form(gram, 2 * q8max, equal=False):
-        # val = 2 Tr(nr) for nr = a + b tau, Tr(nr) = 2a + b.  nr is totally
-        # positive, so Tr(nr) >= 2 sqrt(N(nr)): N(nr) = v needs val^2 >= 16 v.
-        if val * val < 16 * v:
-            continue
-        zc = _apply8(coeffs, basis)
-        a = eval_form(NORM_A_GRAM, zc) // 2
-        b = val // 2 - 2 * a
-        if a * a + a * b - b * b == v:
-            cands.append((val, _sign_canonical(zc)))
-    best = Icosian(min(cands)[1]) if cands else None
+    best = None
+    search = enumerate_form(gram, 2 * q8max, equal=False)
+    try:
+        for coeffs, val in search:
+            # val = 2 Tr(nr) for nr = a + b tau, Tr(nr) = 2a + b.  nr is totally
+            # positive, so Tr(nr) >= 2 sqrt(N(nr)): N(nr) = v needs val^2 >= 16 v.
+            if val * val < 16 * v:
+                continue
+            zc = _apply8(coeffs, basis)
+            a = eval_form(NORM_A_GRAM, zc) // 2
+            b = val // 2 - 2 * a
+            if a * a + a * b - b * b == v:
+                best = _least_generator(zc, OInt(a, b))
+                break
+    finally:
+        search.close()
     if best is None or right_ideal([best]).rows != mod.rows:
         raise AssertionError("principal generator must exist (class number one)")
     return best
 
 
-def _sign_canonical(zc) -> tuple[int, ...]:
-    for v in zc:
-        if v > 0:
-            return tuple(zc)
-        if v < 0:
-            return tuple(-x for x in zc)
-    return tuple(zc)
+def _least_generator(zc, m: OInt) -> Icosian:
+    """The least (Tr(nr), first-nonzero-positive coordinates) over the
+    generators x*tau^k*u of x*I, x with coordinates zc and nr(x) = m, u over
+    the 120 norm-1 units.  Tr(nr) = Tr(m tau^(2k)) = m tau^(2k) + m' tau^(-2k)
+    is strictly convex in k, so a walk finds the one k, or two adjacent ones
+    (e.g. m = 2 + tau and 3 - tau), of least trace."""
+
+    def trace(k: int) -> int:
+        return (m * tau_pow(2 * k)).trace()
+
+    k, step = 0, (1 if trace(1) < trace(0) else -1)
+    while trace(k + step) < trace(k):
+        k += step
+    ties = [j for j in (k - 1, k, k + 1) if trace(j) == trace(k)]
+    return Icosian(min(_orbit_min(Icosian(zc).scale_o(tau_pow(j)).zc, True) for j in ties))
 
 
 def glcd_equal(d1: Icosian, d2: Icosian) -> bool:

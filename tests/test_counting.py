@@ -307,6 +307,61 @@ def test_orbit_fields_hold_the_widest_sum():
         _check_orbit(zc)
 
 
+def _first_positive(o):
+    lead = [v for v in o if v][0]
+    return o if lead > 0 else tuple(-v for v in o)
+
+
+def _check_orbit_first_nonzero(zc):
+    """_check_orbit for glcd's convention, the first nonzero coordinate
+    positive: the kernel, the plain loop and, on the packed routes, every
+    decoded block against the orbit over all 120 unit matrices."""
+    plain = {_first_positive(_apply8(zc, mat)) for mat in unit_right_mul_matrices()}
+    assert _orbit_min(zc, True) == min(plain)
+    members = _orbit(zc, True)
+    assert len(members) == 60 and set(members) == plain
+    bits = _orbit_bits(zc)
+    if bits is not None:
+        pk = _orbit_packing(bits, True)
+        assert {tuple(v - pk.half for v in pk.unpack(b)) for b in _orbit_blocks(zc, pk)} == plain
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_orbit_vectors())
+def test_packed_orbit_first_nonzero_matches_plain_apply_over_all_units(zc):
+    assert _orbit_bits(zc) == _route(max(map(abs, zc)))
+    _check_orbit_first_nonzero(zc)
+
+
+def test_orbit_fields_hold_the_widest_sum_first_nonzero():
+    """test_orbit_fields_hold_the_widest_sum for the first-nonzero sign
+    field: limit - 1, limit and limit + 1 of each width along the widest
+    column, its sign patterns at the narrowest limit, and 2**63 +- 1 and
+    2**70 on the plain route."""
+    mat, k = max(
+        ((mat, k) for mat in _unit_matrices().units for k in range(8)),
+        key=lambda mk: sum(abs(row[mk[1]]) for row in mk[0]),
+    )
+    signs = tuple((row[k] > 0) - (row[k] < 0) for row in mat)
+    widths = [bits for bits, _limit in _limits()]
+    for (bits, limit), wider in zip(_limits(), widths[1:] + [None]):
+        for c, route in ((limit - 1, bits), (limit, bits), (limit + 1, wider)):
+            for zc in (tuple(c * s for s in signs), tuple(-c * s for s in signs)):
+                assert _orbit_bits(zc) == route
+                assert abs(_apply8(zc, mat)[k]) == 10 * c
+                _check_orbit_first_nonzero(zc)
+    narrow = _limits()[0][1]
+    for flips in itertools.product((1, -1), repeat=sum(map(abs, signs))):
+        it = iter(flips)
+        zc = tuple(narrow * s * next(it) if s else 0 for s in signs)
+        assert _orbit_bits(zc) == 8
+        _check_orbit_first_nonzero(zc)
+    wide = ((2**63 - 1,) * 8, (-(2**63) - 1,) + (0,) * 7, (0,) * 7 + (2**70,))
+    for zc in wide + ((-(2**63) - 1, 1) + (0,) * 6,):
+        assert _orbit_bits(zc) is None
+        _check_orbit_first_nonzero(zc)
+
+
 def _dedup_by_seen_set(m, vecs):
     """The former dedup of class_reps_for_norm: each new vector's whole
     orbit, every x*u and -x*u over the 120 units, goes into a seen set."""

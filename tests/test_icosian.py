@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from a4csl.csl import rotation_of
 from a4csl.errors import DomainError
-from a4csl.field import OInt, TAU, lcm_o, sqrt_o, unit_normalize
+from a4csl.counting import prime_class_reps
+from a4csl.field import OInt, SQRT5, TAU, lcm_o, sqrt_o, tau_pow, unit_normalize
 from a4csl.icosian import (
     BASIS,
     TRACE_GRAM,
@@ -24,7 +25,9 @@ from a4csl.icosian import (
     _apply8,
     _balance,
     _content_norm,
+    _least_generator,
     _left_rows,
+    _orbit,
     _right_rows,
     den,
     extension,
@@ -336,6 +339,51 @@ def test_glcd_matches_the_unreduced_basis_route():
             cases.append((p, OInt(den(p), 0)))
     for p, beta in cases:
         assert glcd(p, beta) == _glcd_on_hnf_rows(p, beta)
+
+
+def _least_trace_is_tied(d):
+    """Whether nr(d) tau^2 or nr(d) tau^-2 has the trace of nr(d)."""
+    m = d.nr()
+    return any((m * tau_pow(j)).trace() == m.trace() for j in (-2, 2))
+
+
+def test_glcd_matches_the_unreduced_basis_route_off_the_rationals():
+    """beta in sqrt5*Z and beta = a + b tau with b != 0: the first generator
+    and its tau walk give the full ball search's representative, whether the
+    least trace is taken at one power of tau or at two."""
+    glcd_rng = random.Random(6174)
+    tied = {SQRT5: [], TAU: []}
+    while min(map(len, tied.values())) < 36:
+        p = Icosian(tuple(glcd_rng.randint(-3, 3) for _ in range(8)))
+        if p.is_zero():
+            continue
+        for kind, cases in tied.items():
+            if kind == SQRT5:
+                beta = SQRT5 * OInt(glcd_rng.randint(1, 3), 0)
+            else:
+                beta = OInt(glcd_rng.randint(-4, 4), glcd_rng.choice((-2, -1, 1, 2)))
+            d = glcd(p, beta)
+            assert d == _glcd_on_hnf_rows(p, beta)
+            cases.append(_least_trace_is_tied(d))
+    assert all(True in cases and False in cases for cases in tied.values())
+
+
+def test_tau_walk_compares_both_orbits_of_a_tie():
+    """nr 2 + tau and (2 + tau) tau^-2 = 3 - tau both have trace 5.  Over
+    the 6 classes of that norm, from any starting power of tau, the walk
+    returns the least member of the two orbits; the least of each class
+    comes from either orbit."""
+    m = OInt(2, 1)
+    assert [(m * tau_pow(j)).trace() for j in (-4, -2, 0, 2)] == [10, 5, 5, 10]
+    sources = set()
+    for zc in prime_class_reps(m):
+        x = Icosian(zc)
+        orbits = [min(_orbit(x.scale_o(tau_pow(j)).zc, True)) for j in (0, -1)]
+        for j in range(-3, 4):
+            y = x.scale_o(tau_pow(j))
+            assert _least_generator(y.zc, y.nr()).zc == min(orbits)
+        sources.add(orbits.index(min(orbits)))
+    assert sources == {0, 1}
 
 
 GLCD_GOLDEN = json.loads((Path(__file__).parent / "golden" / "glcd.json").read_text())
