@@ -491,7 +491,7 @@ def _orbit_bits(zc: tuple[int, ...]) -> int | None:
     return None
 
 
-def _sign_normal(o, first: bool = False) -> tuple[int, ...]:
+def _sign_normal(o, first: bool) -> tuple[int, ...]:
     """o, or -o, with its first (or last) nonzero coordinate positive."""
     lead = next((v for v in (o if first else reversed(o)) if v), 0)
     return tuple(o) if lead >= 0 else tuple(-v for v in o)
@@ -626,18 +626,19 @@ def glcd(p: Icosian, beta: OInt) -> Icosian:
 def _least_generator(zc, m: OInt) -> Icosian:
     """The least (Tr(nr), first-nonzero-positive coordinates) over the
     generators x*tau^k*u of x*I, x with coordinates zc and nr(x) = m, u over
-    the 120 norm-1 units.  Tr(nr) = Tr(m tau^(2k)) = m tau^(2k) + m' tau^(-2k)
-    is strictly convex in k, so a walk finds the one k, or two adjacent ones
-    (e.g. m = 2 + tau and 3 - tau), of least trace."""
-
-    def trace(k: int) -> int:
-        return (m * tau_pow(2 * k)).trace()
-
-    k, step = 0, (1 if trace(1) < trace(0) else -1)
-    while trace(k + step) < trace(k):
-        k += step
-    ties = [j for j in (k - 1, k, k + 1) if trace(j) == trace(k)]
-    return Icosian(min(_orbit_min(Icosian(zc).scale_o(tau_pow(j)).zc, True) for j in ties))
+    the 120 norm-1 units.  t_k = Tr(m tau^(2k)) = m tau^(2k) + m' tau^(-2k)
+    is strictly convex in k, and t_(k-1) + t_(k+1) = 3 t_k (tau^2 + tau^-2 =
+    3), so an integer walk finds the one k, or two adjacent ones (e.g. m =
+    2 + tau and 3 - tau), of least trace."""
+    k, (lo, mid, hi) = 0, ((m * tau_pow(j)).trace() for j in (-2, 0, 2))
+    while min(lo, hi) < mid:
+        if hi < mid:
+            k, lo, mid, hi = k + 1, mid, hi, 3 * hi - mid
+        else:
+            k, lo, mid, hi = k - 1, 3 * lo - mid, lo, mid
+    ties = [j for j, t in zip((k - 1, k, k + 1), (lo, mid, hi)) if t == mid]
+    scaled = (Icosian(zc).scale_o(tau_pow(j)).zc if j else zc for j in ties)
+    return Icosian(min(_orbit_min(y, True) for y in scaled))
 
 
 def glcd_equal(d1: Icosian, d2: Icosian) -> bool:
