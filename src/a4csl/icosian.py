@@ -20,8 +20,9 @@ handled as rank-8 Z-modules in Hermite normal form, which makes ideal
 equality, sums and indices canonical.  Left division is integer: d^-1 x
 lies in I iff nr(d) divides every o-coordinate of conj(d) x.  glcd(p, beta)
 is a generator of p*I + beta*I (class number one guarantees one exists):
-the least short vector of that module whose norm matches its index, found
-by a ball search on an LLL-reduced basis of the module's HNF rows.
+the first one a ball search on an LLL-reduced basis of the module meets
+fixes the rest, and the least of trace and coordinates comes from the
+unit orbits of its tau-scalings, through the packed kernel _orbit_min.
 
 Validation and balancing live here once, as integer arithmetic on the
 coordinate vector: _require_primitive rejects zero and imprimitive input
