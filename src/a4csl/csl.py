@@ -15,6 +15,8 @@ products per rotation.
 equal_csl implements the arithmetic criterion for two rotations to share
 one CSL: equal balanced norms plus equality of the right ideals
 p I + (den/c) I, where c divides out one ramified prime when 5 | Sigma.
+When den/c lies in p I for both rotations, those ideals are p I and the
+comparison is one integer left division; otherwise two HNFs are compared.
 symmetry_related tests rI == sI by integer left division in I.
 
 Nothing here re-derives den, alpha or Sigma: the entry points take them
@@ -43,6 +45,7 @@ from .icosian import (
     _sparse,
     _split,
     den,
+    left_divides,
     left_ideal_rows,
     right_ideal,
     same_right_ideal,
@@ -161,7 +164,9 @@ def rotation_of(q: Icosian) -> CoincidenceRotation:
 
 def _intersection_from_rows(rows, d: int, expected_index: int) -> SublatticeL:
     """L n (1/d) span(rows): a kernel vector c of d*I_4 + rows has
-    d * c[:4] in the span of the rows, so c[:4] runs over the meet."""
+    d * c[:4] in the span of the rows, so c[:4] runs over the meet.  The
+    rows have rank 4, so c -> c[:4] is injective on the kernel and maps its
+    HNF to an HNF, which from_integer_rows keeps as it is."""
     scaled_l = [[d * int(i == j) for j in range(4)] for i in range(4)]
     gens = [c[:4] for c in left_kernel(scaled_l + list(rows))]
     lat = SublatticeL.from_integer_rows(gens)
@@ -221,18 +226,21 @@ def equal_csl(p1: Icosian, p2: Icosian) -> bool:
     """Criterion for R(p1) and R(p2) to generate the same CSL.
 
     True iff the balanced unit-normal forms of nr(p1), nr(p2) agree and the
-    criterion ideals coincide.  Pairs where the two readings of the norm
-    condition (literal equality vs equality up to units) would differ are
-    logged at DEBUG level.
+    criterion ideals p_i I + beta_i I coincide.  When each beta_i lies in
+    p_i I (integer left division), those ideals are p_i I and are compared
+    by left division as well; otherwise their HNFs are compared.  Pairs
+    where the two readings of the norm condition (literal equality vs
+    equality up to units) would differ are logged at DEBUG level.
     """
-    beta1, beta2 = _criterion_beta(p1), _criterion_beta(p2)
+    b1 = Icosian.from_o(_criterion_beta(p1))
+    b2 = Icosian.from_o(_criterion_beta(p2))
     n1, n2 = p1.nr(), p2.nr()
     if unit_normalize(n1)[0] != unit_normalize(n2)[0]:
         return False
-    ideals_equal = (
-        right_ideal([p1, Icosian.from_o(beta1)]).rows
-        == right_ideal([p2, Icosian.from_o(beta2)]).rows
-    )
+    if left_divides(p1, b1) and left_divides(p2, b2):
+        ideals_equal = same_right_ideal(p1, p2)
+    else:
+        ideals_equal = right_ideal([p1, b1]).rows == right_ideal([p2, b2]).rows
     if n1 != n2 and ideals_equal:
         log.debug(
             "norm readings differ: nr(p1)=%s, nr(p2)=%s are associates, not equal",

@@ -311,11 +311,15 @@ def eval_form(gram, x) -> int:
 
 
 def gram_of_basis(gram, rows):
-    """Gram matrix B G B^T of lattice vectors given as integer rows."""
+    """Gram matrix B G B^T of lattice vectors given as integer rows, for a
+    symmetric G.  Each row is read by its nonzero entries only, and only the
+    upper triangle is summed."""
     n = len(rows)
-    dim = len(gram)
-    gb = [[sum(gram[i][j] * r[j] for j in range(dim)) for i in range(dim)] for r in rows]
-    return tuple(
-        tuple(sum(rows[a][i] * gb[b][i] for i in range(dim)) for b in range(n))
-        for a in range(n)
-    )
+    nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+    gb = [[sum(x * gi[j] for j, x in nz) for gi in gram] for nz in nonzero]
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        ga, oa = gb[a], out[a]
+        for b in range(a, n):
+            oa[b] = out[b][a] = sum(ga[j] * x for j, x in nonzero[b])
+    return tuple(map(tuple, out))

@@ -152,10 +152,11 @@ GOLDEN = Path(__file__).parent / "golden"
         (["--budget", "20", "census", "--nmax", "9"], "census_nmax9_budget20.csv", 4),
         (["selftest"], "selftest.txt", 0),
         (["--output", "json", "equal", "(t,2*t,0,0)", "(1+t,t,t,1)"], "equal_worked.json", 0),
+        (["--output", "json", "equal", "(1,1,1,2)", "(1,2,-1,-1)"], "equal_sigma7.json", 0),
         (["--output", "json", "csl", "(1+t,t,t,1)"], "csl_1tt1.json", 0),
         (["--output", "json", "rot", "(t,2*t,0,0)"], "rot_worked.json", 0),
     ],
-    ids=["enumerate10", "enumerate23", "census8", "census9-budget20", "selftest", "equal", "csl", "rot"],
+    ids=["enumerate10", "enumerate23", "census8", "census9-budget20", "selftest", "equal", "equal-sigma7", "csl", "rot"],
 )
 def test_golden_output(capsys, argv, name, code):
     got_code, out, _ = run(capsys, *argv)

@@ -1,12 +1,15 @@
 import logging
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import a4csl.csl as csl
 from a4csl.errors import DomainError
-from a4csl.field import OInt, TAU, lcm_o
+from a4csl.field import OInt, TAU, lcm_o, unit_normalize
+from a4csl.hnf import hnf, is_square_hnf, left_kernel
 from a4csl.icosian import Icosian, den, extension, sigma_index, to_icosian, unit_group
 from a4csl.lattice import (
     B_ICO,
@@ -357,3 +360,49 @@ def test_rotation_keeps_its_image_rows():
         )
         assert "image_rows" not in rot.to_json()
         assert rot == rotation_of(q.scale_o(OInt(2, 0)))
+
+
+def test_equal_csl_routes_match_the_hnf_oracles(monkeypatch):
+    """On p*u, u*p and unrelated partners, and on the sigma = 5 witness,
+    equal_csl agrees with equality of the criterion ideals' HNFs (after the
+    norm check) and with equality of the CSLs' HNFs.  It decides by left
+    division when each beta_i lies in p_i I, and by the HNFs otherwise; the
+    witness takes the HNF route."""
+    calls = Counter()
+    for name in ("same_right_ideal", "right_ideal"):
+        fn = getattr(csl, name)
+        monkeypatch.setattr(csl, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+
+    def route(p1, p2):
+        calls.clear()
+        answer = equal_csl(p1, p2)
+        if calls["right_ideal"]:
+            return answer, "hnf"
+        return answer, "division" if calls["same_right_ideal"] else "norm"
+
+    assert route(R_ICO, S_ICO) == (True, "hnf")
+    units = unit_group()
+    pool = [R_ICO, S_ICO] + rand_admissible(400, 600)
+    seen = Counter()
+    for p in pool:
+        u = rng.choice(units)
+        for partner in (p * u, u * p, rng.choice(pool)):
+            answer, how = route(p, partner)
+            seen[how, answer] += 1
+            norms = unit_normalize(p.nr())[0] == unit_normalize(partner.nr())[0]
+            ideals = criterion_ideal(p).rows == criterion_ideal(partner).rows
+            assert answer == (norms and ideals)
+            assert answer == (csl_Lq(rotation_of(p)).hnf == csl_Lq(rotation_of(partner)).hnf)
+    assert all(seen[how, answer] for how in ("hnf", "division") for answer in (True, False))
+    assert seen["norm", False]
+
+
+def test_intersection_kernel_prefixes_are_hnf():
+    """The L-parts of the left kernel of sigma*I_4 + image rows are already
+    the HNF of the CSL, so csl_intersection reduces nothing."""
+    for p in [R_ICO, S_ICO] + rand_admissible(400, 200):
+        rot = rotation_of(p)
+        scaled = [[rot.sigma * int(i == j) for j in range(4)] for i in range(4)]
+        gens = [c[:4] for c in left_kernel(scaled + list(rot.image_rows))]
+        assert is_square_hnf(gens, 4)
+        assert csl_intersection(rot).hnf == tuple(map(tuple, hnf(gens)))

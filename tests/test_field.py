@@ -13,6 +13,7 @@ from a4csl.field import (
     SPLIT,
     SQRT5,
     TAU,
+    TAU4,
     _round_nearest,
     abs_norm,
     conj_k,
@@ -176,6 +177,43 @@ def test_lcm_of_conjugates_is_conjugation_fixed_up_to_tau_sign(x):
     lc = lcm_o(x, x.conj())
     y, _k, _s = unit_normalize(lc.conj())
     assert y == lc  # the balanced value is fixed by ' up to the unit part
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_OINT, _OINT, _OINT)
+def test_o_is_a_commutative_ring_with_tau_squared_tau_plus_one(x, y, z):
+    """The ring laws of Z[tau], its products against the rational KNum
+    product, conjugation as a ring automorphism, the multiplicative norm and
+    the additive trace, and exact division as the inverse of a product."""
+    zero, one = OInt(0, 0), OInt(1, 0)
+    assert TAU * TAU == TAU + one
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x - x == zero and -x + x == zero
+    assert 3 * x == x * 3 == x + x + x and x**3 == x * x * x and x**0 == one
+    assert (x * y).to_knum() == x.to_knum() * y.to_knum()
+    assert (x + y).conj() == x.conj() + y.conj() and (x * y).conj() == x.conj() * y.conj()
+    assert x.conj().conj() == x
+    assert (x * y).field_norm() == x.field_norm() * y.field_norm()
+    assert (x + y).trace() == x.trace() + y.trace()
+    if not y.is_zero():
+        assert y.divides(x * y) and (x * y).exact_div(y) == x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_NONZERO_OINT, st.integers(-40, 40), st.sampled_from((1, -1)))
+def test_unit_normalize_window_and_associates(x, j, s):
+    """unit_normalize(x) = (y, k, sign) with x = sign tau^k y, sigma1(y) > 0
+    and 1 <= sigma1(y)/|sigma2(y)| < tau^2, compared through squares; the
+    associate s tau^j x has the same y, with k + j and sign s."""
+    y, k, sign = unit_normalize(x)
+    assert sign in (1, -1) and tau_pow(k) * y * sign == x
+    assert y.sign_embed() > 0
+    y2, w2 = y * y, y.conj() * y.conj()
+    assert (y2 - w2).sign_embed() >= 0
+    assert (y2 - TAU4 * w2).sign_embed() < 0
+    assert unit_normalize(tau_pow(j) * x * s) == (y, k + j, sign * s)
 
 
 def test_factor_examples():

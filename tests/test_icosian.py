@@ -1,12 +1,14 @@
 import json
 import random
 import re
+from collections import Counter
 from math import isqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import a4csl.icosian as icosian
 from a4csl.csl import rotation_of
 from a4csl.errors import DomainError
 from a4csl.counting import prime_class_reps
@@ -386,6 +388,50 @@ def test_tau_walk_compares_both_orbits_of_a_tie():
     assert sources == {0, 1}
 
 
+def _glcd_route(p, beta):
+    """The generator glcd starts from, read off the HNFs alone: "p" when
+    p I is p I + beta I, else "beta" when beta I is, else "search"."""
+    b = Icosian.from_o(beta)
+    mod = right_ideal([p, b]).rows
+    if right_ideal([p]).rows == mod:
+        return "p"
+    return "beta" if right_ideal([b]).rows == mod else "search"
+
+
+def test_glcd_routes_match_the_unreduced_basis_route(monkeypatch):
+    """p generates p I + beta I (mostly beta = den p), beta generates it (a unit beta with p no unit, so the module is I), or
+    neither: each route gives the full ball search's representative, and
+    only the last one runs the search."""
+    searches = []
+    first_generator = icosian._first_generator
+    monkeypatch.setattr(
+        icosian, "_first_generator", lambda *args: searches.append(args) or first_generator(*args)
+    )
+    glcd_rng = random.Random(2024)
+
+    def draw(admissible):
+        while True:
+            p = Icosian(tuple(glcd_rng.randint(-3, 3) for _ in range(8)))
+            if not p.is_zero() and (not admissible or is_primitive(p) and is_admissible(p)):
+                return p
+
+    routes = Counter()
+    for k in range(72):
+        if k % 3 == 0:
+            p, beta = draw(False), tau_pow(glcd_rng.randint(-3, 3)) * glcd_rng.choice((1, -1))
+        elif k % 3 == 1:
+            p = draw(True)
+            beta = OInt(den(p), 0)
+        else:
+            p, beta = draw(False), OInt(glcd_rng.randint(1, 6), glcd_rng.randint(-2, 2))
+        route = _glcd_route(p, beta)
+        routes[route] += 1
+        before = len(searches)
+        assert glcd(p, beta) == _glcd_on_hnf_rows(p, beta)
+        assert len(searches) - before == (route == "search")
+    assert min(routes[r] for r in ("p", "beta", "search")) >= 12
+
+
 GLCD_GOLDEN = json.loads((Path(__file__).parent / "golden" / "glcd.json").read_text())
 
 
@@ -397,6 +443,11 @@ def test_glcd_representative_is_pinned(case):
     d = glcd(p, beta)
     assert d.zc == tuple(case["glcd"])
     assert right_ideal([d]).rows == right_ideal([p, Icosian.from_o(beta)]).rows
+
+
+def test_glcd_goldens_cover_every_route():
+    routes = Counter(_glcd_route(Icosian(tuple(c["p"])), OInt(*c["beta"])) for c in GLCD_GOLDEN)
+    assert routes == {"p": 11, "beta": 1, "search": 8}
 
 
 # Small coordinates, and coordinates past 2**63.

@@ -204,6 +204,13 @@ def _prepared_oracle(gram):
     return tuple(w), tuple(ud), tuple(un), m
 
 
+def _dense_gram(gram, rows):
+    """B G B^T by the dense triple sum: every entry of every row, both
+    triangles."""
+    dim = range(len(gram))
+    return tuple(tuple(sum(a[i] * gram[i][j] * b[j] for i in dim for j in dim) for b in rows) for a in rows)
+
+
 def _integral_gram_schmidt(gram):
     """Cohen's integral data from the LDL: the leading minors dm (dm[0] = 1)
     and lam[k][j] = dm[j+1] * mu_kj, checked to be integers."""
@@ -269,8 +276,33 @@ def test_prepared_rejects_what_the_oracle_rejects(gram):
         assert _prepared(gram) == want
 
 
+@st.composite
+def sparse_rows_and_grams(draw):
+    """(gram, rows): a symmetric form of dimension dim and 0..9 rows of that
+    length, with many zero entries; the number of rows is free of dim."""
+    gram = draw(symmetric_matrices(max_dim=8))
+    entry = st.one_of(st.just(0), st.integers(-60, 60))
+    rows = draw(st.lists(st.lists(entry, min_size=len(gram), max_size=len(gram)), max_size=9))
+    return gram, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_rows_and_grams())
+def test_gram_of_basis_matches_the_dense_triple_sum(case):
+    gram, rows = case
+    assert gram_of_basis(gram, rows) == _dense_gram(gram, rows)
+
+
+def test_gram_of_basis_on_hnf_rows_and_non_square_bases():
+    rows = right_ideal([Icosian((1, 2, 0, -1, 0, 0, 3, 1)), Icosian.from_int(6)]).rows
+    assert sum(v == 0 for row in rows for v in row) >= 28
+    assert gram_of_basis(TRACE_GRAM, rows) == _dense_gram(TRACE_GRAM, rows)
+    for some in (rows[:3], rows[5:], rows + rows[:2], ()):
+        assert gram_of_basis(TRACE_GRAM, some) == _dense_gram(TRACE_GRAM, some)
+
+
 def _assert_lll_reduced(rows, gram):
-    dm, lam = _integral_gram_schmidt(gram_of_basis(gram, rows))
+    dm, lam = _integral_gram_schmidt(_dense_gram(gram, rows))
     for k in range(1, len(rows)):
         for j in range(k):
             assert 2 * abs(lam[k][j]) <= dm[j + 1]
@@ -316,7 +348,7 @@ def test_lll_returns_the_gram_of_its_basis(basis):
     rows, gram = basis
     out, out_gram = _lll(rows, gram)
     assert out == lll_reduce(rows, gram)
-    assert out_gram == gram_of_basis(gram, out)
+    assert out_gram == _dense_gram(gram, out)
 
 
 def test_lll_reduce_edge_cases():
