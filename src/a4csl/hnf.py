@@ -79,9 +79,8 @@ def hnf_square(rows, n: int) -> tuple[tuple[int, ...], ...]:
     """HNF of a full-rank lattice in Z^n; raises if the rank is lower.  Rows
     already in that form, such as the leading parts of a kernel basis that
     projects injectively onto them, are returned as they are."""
-    rows = tuple(map(tuple, rows))
     if is_square_hnf(rows, n):
-        return rows
+        return tuple(map(tuple, rows))
     h = hnf(rows)
     if len(h) != n:
         raise DomainError(f"expected rank {n}, got {len(h)}")
