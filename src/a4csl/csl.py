@@ -164,9 +164,7 @@ def rotation_of(q: Icosian) -> CoincidenceRotation:
 
 def _intersection_from_rows(rows, d: int, expected_index: int) -> SublatticeL:
     """L n (1/d) span(rows): a kernel vector c of d*I_4 + rows has
-    d * c[:4] in the span of the rows, so c[:4] runs over the meet.  The
-    rows have rank 4, so c -> c[:4] is injective on the kernel and maps its
-    HNF to an HNF, which from_integer_rows keeps as it is."""
+    d * c[:4] in the span of the rows, so c[:4] runs over the meet."""
     scaled_l = [[d * int(i == j) for j in range(4)] for i in range(4)]
     gens = [c[:4] for c in left_kernel(scaled_l + list(rows))]
     lat = SublatticeL.from_integer_rows(gens)

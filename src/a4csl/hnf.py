@@ -61,26 +61,8 @@ def hnf(rows) -> list[list[int]]:
     return [row for row in a[:r]]
 
 
-def is_square_hnf(rows, n: int) -> bool:
-    """Whether rows are already the canonical HNF of a full-rank lattice in
-    Z^n: n rows of length n, row i zero before column i, a positive pivot at
-    i, and every entry above it in [0, pivot)."""
-    if len(rows) != n:
-        return False
-    for i, row in enumerate(rows):
-        if len(row) != n or row[i] <= 0 or any(row[:i]):
-            return False
-        if not all(0 <= rows[k][i] < row[i] for k in range(i)):
-            return False
-    return True
-
-
 def hnf_square(rows, n: int) -> tuple[tuple[int, ...], ...]:
-    """HNF of a full-rank lattice in Z^n; raises if the rank is lower.  Rows
-    already in that form, such as the leading parts of a kernel basis that
-    projects injectively onto them, are returned as they are."""
-    if is_square_hnf(rows, n):
-        return tuple(map(tuple, rows))
+    """HNF of a full-rank lattice in Z^n; raises if the rank is lower."""
     h = hnf(rows)
     if len(h) != n:
         raise DomainError(f"expected rank {n}, got {len(h)}")

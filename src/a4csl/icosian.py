@@ -22,9 +22,8 @@ lies in I iff nr(d) divides every o-coordinate of conj(d) x.  glcd(p, beta)
 is a generator of p*I + beta*I (class number one guarantees one exists):
 any one generator fixes the rest, and the least of trace and coordinates
 comes from the unit orbits of its tau-scalings, through the packed kernel
-_orbit_min.  p or beta is that generator when its N(nr) is the module's
-norm; only when neither is does a ball search on an LLL-reduced basis of
-the module look for the first one.
+_orbit_min.  p is that generator when beta lies in p I; only otherwise
+does a ball search on an LLL-reduced basis of the module look for one.
 
 Validation and balancing live here once, as integer arithmetic on the
 coordinate vector: _require_primitive rejects zero and imprimitive input
@@ -588,41 +587,38 @@ def glcd(p: Icosian, beta: OInt) -> Icosian:
     Unique up to right units; the returned representative is deterministic:
     among generators of minimal trace norm, the one whose coordinate vector
     is lexicographically smallest with first nonzero coordinate positive.
-    The search starts from the given generators: if N(nr p) or N(beta)^2 is
-    the module's norm v, that generator spans the module, and no lattice
-    work is done.  Otherwise a ball search on an LLL-reduced basis of the
-    module stops at its first generator x.  Either way the answer is read
-    off the unit orbits of x*tau^k for the one or two k of least trace
-    (_least_generator).  The order is defined on I-coordinates, so it
-    depends neither on the route, nor on that basis, nor on x.
+    When beta lies in p I (integer left division), p generates the module
+    and no lattice work is done.  Otherwise a ball search on an LLL-reduced
+    basis of the module stops at its first generator x.  Either way the
+    answer is read off the unit orbits of x*tau^k for the one or two k of
+    least trace (_least_generator).  The order is defined on I-coordinates,
+    so it depends neither on the route, nor on that basis, nor on x.
     """
     if p.is_zero() or beta.is_zero():
         raise DomainError("glcd requires nonzero arguments")
     b = Icosian.from_o(beta)
-    mod = right_ideal([p, b])
-    idx = mod.index()
-    v = isqrt(idx)
-    if v * v != idx:
-        raise AssertionError("right-ideal index must be a square")
-    # Any member of mod with N(nr) = v generates it: its right ideal lies in
-    # mod and has the same index v^2.
-    for x in (p, b):
-        m = x.nr()
-        if m.abs_norm() == v:
-            best = _least_generator(x.zc, m)
-            break
+    if left_divides(p, b):
+        best = _least_generator(p.zc, p.nr())
+        generates = same_right_ideal(best, p)
     else:
-        best = _first_generator(mod, v)
-    if best is None or right_ideal([best]).rows != mod.rows:
+        mod = right_ideal([p, b])
+        best = _first_generator(mod)
+        generates = best is not None and right_ideal([best]).rows == mod.rows
+    if not generates:
         raise AssertionError("principal generator must exist (class number one)")
     return best
 
 
-def _first_generator(mod: Rank8Module, v: int) -> Icosian | None:
-    """_least_generator of the first member of mod with N(nr) = v that a
-    ball search on an LLL-reduced basis meets, or None if the ball has none.
-    Some generator associate has Tr(nr) <= sqrt(5 v); the search walks that
-    ball."""
+def _first_generator(mod: Rank8Module) -> Icosian | None:
+    """_least_generator of the first member of mod that a ball search on an
+    LLL-reduced basis meets with N(nr) = v, the square root of the index, or
+    None if the ball has none.  Any such member generates mod: its right
+    ideal lies in mod and has the same index v^2.  Some generator associate
+    has Tr(nr) <= sqrt(5 v); the search walks that ball."""
+    idx = mod.index()
+    v = isqrt(idx)
+    if v * v != idx:
+        raise AssertionError("right-ideal index must be a square")
     q8max = 1 + isqrt(5 * v - 1)  # ceil(sqrt(5 v))
     basis, gram = _lll(mod.rows, TRACE_GRAM)
     search = enumerate_form(gram, 2 * q8max, equal=False)

@@ -186,10 +186,7 @@ def dual_L() -> tuple[tuple[Fraction, ...], ...]:
 
 def module_to_L(mod: Rank8Module) -> SublatticeL:
     """Intersection of a full rank-8 submodule of I with L, in L-coordinates:
-    c[:4] over the left kernel c of B_ZC + mod.rows (sum c_i b_i lies in mod).
-    The rows of mod are independent, so c -> c[:4] is injective on the
-    kernel and maps its HNF to an HNF, which from_integer_rows keeps as it
-    is."""
+    c[:4] over the left kernel c of B_ZC + mod.rows (sum c_i b_i lies in mod)."""
     gens = [c[:4] for c in left_kernel(list(B_ZC) + list(mod.rows))]
     if len(gens) < 4:
         raise DomainError("module meets L in rank < 4")

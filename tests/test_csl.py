@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import a4csl.csl as csl
 from a4csl.errors import DomainError
 from a4csl.field import OInt, TAU, lcm_o, unit_normalize
-from a4csl.hnf import hnf, is_square_hnf, left_kernel
 from a4csl.icosian import Icosian, den, extension, sigma_index, to_icosian, unit_group
 from a4csl.lattice import (
     B_ICO,
@@ -396,13 +395,3 @@ def test_equal_csl_routes_match_the_hnf_oracles(monkeypatch):
     assert all(seen[how, answer] for how in ("hnf", "division") for answer in (True, False))
     assert seen["norm", False]
 
-
-def test_intersection_kernel_prefixes_are_hnf():
-    """The L-parts of the left kernel of sigma*I_4 + image rows are already
-    the HNF of the CSL, so csl_intersection reduces nothing."""
-    for p in [R_ICO, S_ICO] + rand_admissible(400, 200):
-        rot = rotation_of(p)
-        scaled = [[rot.sigma * int(i == j) for j in range(4)] for i in range(4)]
-        gens = [c[:4] for c in left_kernel(scaled + list(rot.image_rows))]
-        assert is_square_hnf(gens, 4)
-        assert csl_intersection(rot).hnf == tuple(map(tuple, hnf(gens)))

@@ -10,7 +10,6 @@ from a4csl.hnf import (
     hnf,
     hnf_square,
     intersect_rows,
-    is_square_hnf,
     left_kernel,
 )
 
@@ -57,46 +56,6 @@ def test_hnf_square_rank_check():
     h = hnf_square([[1, 0], [0, 1], [3, 5]], 2)
     assert h == ((1, 0), (0, 1))
     assert diagonal_product(h) == 1
-
-
-@st.composite
-def square_hnf_candidates(draw):
-    """n x n rows: a random matrix, its HNF, or that HNF with one entry
-    moved by a small amount."""
-    n = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
-    kind = draw(st.sampled_from(("raw", "hnf", "nudged")))
-    h = hnf(rows)
-    if kind == "raw" or len(h) != n:
-        return rows
-    if kind == "nudged":
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        h[i][j] += draw(st.sampled_from((-2, -1, 1, 2)))
-    return h
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(square_hnf_candidates())
-def test_is_square_hnf_matches_the_reduction(rows):
-    """hnf_square keeps the rows that is_square_hnf accepts, and those are
-    exactly the rows that hnf leaves unchanged."""
-    n = len(rows)
-    h = hnf(rows)
-    assert is_square_hnf(rows, n) == (h == rows)
-    assert not is_square_hnf(rows[1:], n)
-    if len(h) == n:
-        assert hnf_square(rows, n) == tuple(map(tuple, h))
-    else:
-        with pytest.raises(DomainError, match=f"expected rank {n}, got {len(h)}"):
-            hnf_square(rows, n)
-
-
-def test_hnf_square_checks_the_width_of_hnf_shaped_rows():
-    assert hnf_square([[1, 0, 5], [0, 1, 7]], 2) == ((1, 0, 5), (0, 1, 7))
-    with pytest.raises(DomainError, match="expected rank 4, got 2"):
-        hnf_square([[1, 0], [0, 1]], 4)
-    with pytest.raises(DomainError, match="expected rank 4, got 3"):
-        hnf_square([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], 4)
 
 
 def test_left_kernel():
