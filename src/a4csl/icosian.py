@@ -19,11 +19,10 @@ full unit group of I is {+-tau^k} times these.  Right ideals q*I are
 handled as rank-8 Z-modules in Hermite normal form, which makes ideal
 equality, sums and indices canonical.  Left division is integer: d^-1 x
 lies in I iff nr(d) divides every o-coordinate of conj(d) x.  glcd(p, beta)
-is a generator of p*I + beta*I (class number one guarantees one exists):
-any one generator fixes the rest, and the least of trace and coordinates
-comes from the unit orbits of its tau-scalings, through the packed kernel
-_orbit_min.  p is that generator when beta lies in p I; only otherwise
-does a ball search on an LLL-reduced basis of the module look for one.
+is a generator of p*I + beta*I, found as the last remainder of a
+right-Euclidean division in I, which is E8 under NORM_A_GRAM and hence
+norm-Euclidean; the least of trace and coordinates over its associates
+comes from the unit orbits of its tau-scalings, through _orbit_min.
 
 Validation and balancing live here once, as integer arithmetic on the
 coordinate vector: _require_primitive rejects zero and imprimitive input
@@ -59,7 +58,7 @@ from .field import (
 )
 from .hnf import diagonal_product, hnf_square, contains as hnf_contains
 from .quaternion import Quat
-from .shortvec import _lll, enumerate_form, eval_form
+from .shortvec import eval_form
 
 _H = Fraction(1, 2)
 
@@ -146,7 +145,8 @@ class Icosian:
         return Icosian(_apply8(other.zc, _left_rows(self.zc)))
 
     def scale_o(self, s: OInt) -> "Icosian":
-        return Icosian.from_coords(tuple(s * c for c in self.coords()))
+        a, b = s.a, s.b  # (a + b tau) x = a x + b (tau x)
+        return Icosian(tuple(a * u + b * v for u, v in zip(self.zc, _tau_times(self.zc))))
 
     def conj(self) -> "Icosian":
         return Icosian(_apply8(self.zc, _CJ8))
@@ -320,6 +320,36 @@ _TRG8 = tuple(tuple(Icosian(_apply8(cj, row)).tr_q() for cj in _CJ8) for row in 
 NORM_A_GRAM = tuple(tuple(w.a for w in row) for row in _TRG8)
 NORM_B_GRAM = tuple(tuple(w.b for w in row) for row in _TRG8)
 TRACE_GRAM = tuple(tuple(w.trace() for w in row) for row in _TRG8)
+
+# (Z^8, NORM_A_GRAM) is even unimodular of rank 8, i.e. E8.  Row i of _E8_T is
+# 2 zb_i in the standard coordinates of E8 = D8 u (D8 + 1/2), so that
+# _E8_T _E8_T^T = 4 NORM_A_GRAM and det _E8_T = 2^8; _E8_U = 4 _E8_T^-1.
+_E8_T = ((0, 2, 0, 0, 0, 2, 0, 0), (0, 0, 2, 2, 0, 0, 0, 0), (0, 2, 0, 2, 0, 0, 0, 0),
+         (0, 2, 0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 2, 0, 0, -2), (0, 0, 0, 0, 2, 0, 0, 2),
+         (2, 0, 0, 0, 2, 0, 0, 0), (1, -1, 1, 1, 1, -1, 1, 1))
+_E8_U = ((0, 0, 0, 0, -1, -1, 2, 0), (0, 0, 0, 2, 1, -1, 0, 0), (0, 2, -2, 2, 1, -1, 0, 0),
+         (0, 0, 2, -2, -1, 1, 0, 0), (0, 0, 0, 0, 1, 1, 0, 0), (2, 0, 0, -2, -1, 1, 0, 0),
+         (2, -2, 0, 0, 1, -1, -2, 4), (0, 0, 0, 0, -1, 1, 0, 0))
+
+
+def _nearest_icosian(y, n: int) -> tuple[int, ...]:
+    """The point of I nearest to y/n under NORM_A_GRAM, by the E8 decoder of
+    Conway and Sloane (IEEE Trans. Inf. Theory 28, 1982).  In standard
+    coordinates y/n is w/(2n); the nearer of its nearest points in D8 and in
+    D8 + 1/2 wins.  The nearest point of D8 (even coordinate sum) rounds
+    every coordinate and, on an odd sum, the worst-rounded one the other way."""
+    w, den, cands = _apply8(y, _E8_T), 2 * n, []
+    for half in (0, 1):  # D8 + half/2, as the nearest point z of D8 to w/den - half/2
+        num = [v - half * n for v in w]
+        z = [(2 * v + den) // (2 * den) for v in num]
+        err = [v - den * k for v, k in zip(num, z)]
+        if sum(z) % 2:
+            k = max(range(8), key=lambda i: abs(err[i]))
+            step = 1 if err[k] > 0 else -1
+            z[k] += step
+            err[k] -= step * den
+        cands.append((sum(e * e for e in err), [2 * k + half for k in z]))
+    return tuple(v // 4 for v in _apply8(min(cands)[1], _E8_U))
 
 
 def to_icosian(q: Quat) -> Icosian | None:
@@ -529,7 +559,8 @@ def same_right_ideal(r: Icosian, s: Icosian) -> bool:
     """rI == sI, i.e. s^-1 r lies in I and its reduced norm is a unit."""
     if r.is_zero() or s.is_zero():
         raise DomainError("right ideals need nonzero generators")
-    return r.nr().abs_norm() == s.nr().abs_norm() and left_divides(s, r)
+    m = s.nr()
+    return r.nr().abs_norm() == m.abs_norm() and _left_divides(s, m, r)
 
 
 @dataclass(frozen=True, slots=True)
@@ -577,8 +608,22 @@ def left_divides(d: Icosian, x: Icosian) -> bool:
     """d^-1 x in I, i.e. nr(d) divides every o-coordinate of conj(d) x."""
     if d.is_zero():
         raise DomainError("zero icosian divides nothing")
-    n = d.nr()
-    return all(n.divides(c) for c in (d.conj() * x).coords())
+    return _left_divides(d, d.nr(), x)
+
+
+def _left_divides(d: Icosian, m: OInt, x: Icosian) -> bool:
+    """left_divides(d, x) for m = nr(d)."""
+    n = m.field_norm()
+    return not any(v % n for v in _scaled_quotient(d, m, x))
+
+
+def _scaled_quotient(d: Icosian, m: OInt, x: Icosian) -> tuple[int, ...]:
+    """N(m) d^-1 x = conj(d) x m' for m = nr(d); a scalar x of o is taken by
+    scale_o, not by the product."""
+    z = x.zc
+    if any(z[1:4]) or any(z[5:]):
+        return (d.conj() * x).scale_o(m.conj()).zc
+    return d.conj().scale_o(m.conj() * OInt(z[0], z[4])).zc
 
 
 def glcd(p: Icosian, beta: OInt) -> Icosian:
@@ -587,55 +632,52 @@ def glcd(p: Icosian, beta: OInt) -> Icosian:
     Unique up to right units; the returned representative is deterministic:
     among generators of minimal trace norm, the one whose coordinate vector
     is lexicographically smallest with first nonzero coordinate positive.
-    When beta lies in p I (integer left division), p generates the module
-    and no lattice work is done.  Otherwise a ball search on an LLL-reduced
-    basis of the module stops at its first generator x.  Either way the
-    answer is read off the unit orbits of x*tau^k for the one or two k of
-    least trace (_least_generator).  The order is defined on I-coordinates,
-    so it depends neither on the route, nor on that basis, nor on x.
+    It is read off the unit orbits of d*tau^k for the one or two k of least
+    trace (_least_generator), d the last remainder of _remainders: p when p
+    left-divides beta, and otherwise checked to be p x + beta y and a left
+    divisor of p and beta.  The order is defined on I-coordinates, so it
+    depends on neither the route nor d.
     """
     if p.is_zero() or beta.is_zero():
         raise DomainError("glcd requires nonzero arguments")
-    b = Icosian.from_o(beta)
-    if left_divides(p, b):
-        best = _least_generator(p.zc, p.nr())
-        generates = same_right_ideal(best, p)
-    else:
-        mod = right_ideal([p, b])
-        best = _first_generator(mod)
-        generates = best is not None and right_ideal([best]).rows == mod.rows
-    if not generates:
+    seq = _remainders(p, p.nr(), beta)
+    d, m, x = seq[-1]
+    if len(seq) > 1 and not (
+        all(beta.divides(c) for c in (d - p * x).coords())
+        and _left_divides(d, m, p)
+        and _left_divides(d, m, Icosian.from_o(beta))
+    ):
+        raise AssertionError(f"the last remainder {d} must generate p I + beta I")
+    best = _least_generator(d.zc, m)
+    if not (best.nr().abs_norm() == m.abs_norm() and _left_divides(d, m, best)):
         raise AssertionError("principal generator must exist (class number one)")
     return best
 
 
-def _first_generator(mod: Rank8Module) -> Icosian | None:
-    """_least_generator of the first member of mod that a ball search on an
-    LLL-reduced basis meets with N(nr) = v, the square root of the index, or
-    None if the ball has none.  Any such member generates mod: its right
-    ideal lies in mod and has the same index v^2.  Some generator associate
-    has Tr(nr) <= sqrt(5 v); the search walks that ball."""
-    idx = mod.index()
-    v = isqrt(idx)
-    if v * v != idx:
-        raise AssertionError("right-ideal index must be a square")
-    q8max = 1 + isqrt(5 * v - 1)  # ceil(sqrt(5 v))
-    basis, gram = _lll(mod.rows, TRACE_GRAM)
-    search = enumerate_form(gram, 2 * q8max, equal=False)
-    try:
-        for coeffs, val in search:
-            # val = 2 Tr(nr) for nr = a + b tau, Tr(nr) = 2a + b.  nr is totally
-            # positive, so Tr(nr) >= 2 sqrt(N(nr)): N(nr) = v needs val^2 >= 16 v.
-            if val * val < 16 * v:
-                continue
-            zc = _apply8(coeffs, basis)
-            a = eval_form(NORM_A_GRAM, zc) // 2
-            b = val // 2 - 2 * a
-            if a * a + a * b - b * b == v:
-                return _least_generator(zc, OInt(a, b))
-    finally:
-        search.close()
-    return None
+def _remainders(p: Icosian, m: OInt, beta: OInt) -> list[tuple[Icosian, OInt, Icosian]]:
+    """The right-Euclidean remainders r_1 = p, r_2, ... of r_0 = beta, as
+    (r_i, nr r_i, x_i) with r_i - p x_i in beta I, up to the first r_i that
+    left-divides r_(i-1): a generator of p I + beta I (m = nr p).
+
+    r_(i+1) = r_(i-1) - r_i q_i for q_i the nearest point of I to r_i^-1
+    r_(i-1), so that 2 a(nr(r_i^-1 r_(i+1))) <= 1 (E8 has covering radius 1)
+    and, nr being totally positive, N(nr(r_i^-1 r_(i+1))) <= 5 a^2/4 <= 5/16.
+    AssertionError if N(nr) does not fall.
+    """
+    prev, prev_x = Icosian.from_o(beta), Icosian.from_int(0)
+    seq = [(p, m, Icosian.from_int(1))]
+    while True:
+        r, m, x = seq[-1]
+        n, y = m.field_norm(), _scaled_quotient(r, m, prev)
+        if not any(v % n for v in y):
+            return seq
+        q = Icosian(_nearest_icosian(y, n))
+        rem = prev - r * q
+        rm = rem.nr()
+        if not 0 < rm.field_norm() < n:
+            raise AssertionError(f"dividing {prev} by {r} in I did not lower N(nr)")
+        seq.append((rem, rm, prev_x - x * q))
+        prev, prev_x = r, x
 
 
 def _least_generator(zc, m: OInt) -> Icosian:

@@ -11,8 +11,7 @@ d_i and the integers lambda_ij of Cohen, GTM 138, Alg. 2.6.7); the search
 itself runs on rescaled integers only, so the enumeration is exact and
 provably complete (no floating point, no epsilon, no rationals).  In an
 equality search the last coordinate is solved for exactly instead of
-scanned.  lll_reduce runs the integral LLL on the same data, so that a ball
-search can walk a reduced basis instead of a raw one.
+scanned.
 
 Vectors come in +-pairs; exactly one representative per pair is produced
 (the one whose highest-index nonzero coordinate is positive).  The zero
@@ -55,75 +54,6 @@ def _gram_schmidt(gram, d, lam, k: int) -> None:
             raise DomainError("form is not positive definite")
         else:
             d[k + 1] = u
-
-
-def lll_reduce(rows, gram) -> tuple[tuple[int, ...], ...]:
-    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the integer
-    rows, under the positive definite integer form gram.
-
-    Integral LLL (Cohen, GTM 138, Alg. 2.6.7; Lenstra-Lenstra-Lovasz 1982):
-    only integers, with the Gram matrix of the current basis kept up to date
-    by the same row operations.  Raises DomainError if the rows are linearly
-    dependent or the form is not positive definite on their span.
-    """
-    return _lll(rows, gram)[0]
-
-
-def _lll(rows, gram):
-    """lll_reduce, plus the Gram matrix of the reduced basis under gram."""
-    b = [list(r) for r in rows]
-    n = len(b)
-    g = [list(r) for r in gram_of_basis(gram, b)]
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-
-    def reduce(k: int, l: int) -> None:
-        # Size-reduce b_k against b_l: afterwards 2|lam[k][l]| <= d[l+1].
-        dl, lk, ll = d[l + 1], lam[k], lam[l]
-        if 2 * abs(lk[l]) > dl:
-            q = (2 * lk[l] + dl) // (2 * dl)
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            g[k] = [x - q * y for x, y in zip(g[k], g[l])]
-            for row in g:
-                row[k] -= q * row[l]
-            lk[l] -= q * dl
-            for i in range(l):
-                lk[i] -= q * ll[i]
-
-    def swap(k: int) -> None:
-        # Exchange b_{k-1} and b_k and update d and lam (Cohen's SWAPI).
-        b[k - 1], b[k] = b[k], b[k - 1]
-        g[k - 1], g[k] = g[k], g[k - 1]
-        for row in g:
-            row[k - 1], row[k] = row[k], row[k - 1]
-        lk, lk1 = lam[k], lam[k - 1]
-        for j in range(k - 1):
-            lk[j], lk1[j] = lk1[j], lk[j]
-        mu = lk[k - 1]
-        nd = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
-        for i in range(k + 1, kmax + 1):
-            li = lam[i]
-            t = li[k]
-            li[k] = (d[k + 1] * li[k - 1] - mu * t) // d[k]
-            li[k - 1] = (nd * t + mu * li[k]) // d[k + 1]
-        d[k] = nd
-
-    if n:
-        _gram_schmidt(g, d, lam, 0)
-    k, kmax = 1, 0
-    while k < n:
-        if k > kmax:
-            kmax = k
-            _gram_schmidt(g, d, lam, k)
-        reduce(k, k - 1)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
-            swap(k)
-            k = max(1, k - 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                reduce(k, l)
-            k += 1
-    return tuple(tuple(r) for r in b), tuple(tuple(r) for r in g)
 
 
 @lru_cache(maxsize=64)

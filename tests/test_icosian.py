@@ -15,12 +15,15 @@ from a4csl.counting import prime_class_reps
 from a4csl.field import OInt, SQRT5, TAU, lcm_o, sqrt_o, tau_pow, unit_normalize
 from a4csl.icosian import (
     BASIS,
+    NORM_A_GRAM,
     TRACE_GRAM,
     Icosian,
     Rank8Module,
     ZB_ICO,
     ZBASIS_QUATS,
     _CJ8,
+    _E8_T,
+    _E8_U,
     _MUL,
     _TRG8,
     _TW8,
@@ -29,6 +32,7 @@ from a4csl.icosian import (
     _content_norm,
     _least_generator,
     _left_rows,
+    _nearest_icosian,
     _orbit,
     _right_rows,
     den,
@@ -315,8 +319,8 @@ def test_left_division_refuses_zero_divisor():
 
 
 def _glcd_on_hnf_rows(p, beta):
-    """glcd's ball search walked on the raw HNF rows of p I + beta I, with
-    no basis reduction: the least (trace value, sign-canonical coordinates)
+    """The full ball search on the raw HNF rows of p I + beta I, glcd's
+    oracle: the least (trace value, sign-canonical coordinates)
     over the members of the ball whose nr has the module's norm."""
     mod = right_ideal([p, Icosian.from_o(beta)])
     v = isqrt(mod.index())
@@ -332,7 +336,7 @@ def _glcd_on_hnf_rows(p, beta):
 
 
 def test_glcd_matches_the_unreduced_basis_route():
-    """The reduced basis changes the walk, never the representative."""
+    """beta = den p: glcd gives the full ball search's representative."""
     glcd_rng = random.Random(1729)
     cases = [(q, OInt(den(q), 0)) for q in (R_ICO, S_ICO)]
     while len(cases) < 152:
@@ -350,7 +354,7 @@ def _least_trace_is_tied(d):
 
 
 def test_glcd_matches_the_unreduced_basis_route_off_the_rationals():
-    """beta in sqrt5*Z and beta = a + b tau with b != 0: the first generator
+    """beta in sqrt5*Z and beta = a + b tau with b != 0: the last remainder
     and its tau walk give the full ball search's representative, whether the
     least trace is taken at one power of tau or at two."""
     glcd_rng = random.Random(6174)
@@ -390,19 +394,20 @@ def test_tau_walk_compares_both_orbits_of_a_tie():
 
 def _glcd_route(p, beta):
     """The route glcd takes, read off the HNFs alone: "p" when p I is
-    p I + beta I, else "search"."""
+    p I + beta I, else "euclid"."""
     mod = right_ideal([p, Icosian.from_o(beta)]).rows
-    return "p" if right_ideal([p]).rows == mod else "search"
+    return "p" if right_ideal([p]).rows == mod else "euclid"
 
 
 def test_glcd_routes_match_the_unreduced_basis_route(monkeypatch):
     """p generates p I + beta I (mostly beta = den p) or it does not (mostly
     a random beta): both routes give the full ball search's representative,
-    and only the second one runs the search."""
-    searches = []
-    first_generator = icosian._first_generator
+    and the remainder sequence takes one division on the first route and
+    more on the second."""
+    steps = []
+    remainders = icosian._remainders
     monkeypatch.setattr(
-        icosian, "_first_generator", lambda *args: searches.append(args) or first_generator(*args)
+        icosian, "_remainders", lambda *args: steps.append(len(seq := remainders(*args))) or seq
     )
     glcd_rng = random.Random(2024)
 
@@ -421,10 +426,10 @@ def test_glcd_routes_match_the_unreduced_basis_route(monkeypatch):
             p, beta = draw(False), OInt(glcd_rng.randint(1, 6), glcd_rng.randint(-2, 2))
         route = _glcd_route(p, beta)
         routes[route] += 1
-        before = len(searches)
         assert glcd(p, beta) == _glcd_on_hnf_rows(p, beta)
-        assert len(searches) - before == (route == "search")
-    assert min(routes["p"], routes["search"]) >= 12
+        assert (steps[-1] == 1) == (route == "p")
+    assert len(steps) == 48
+    assert min(routes["p"], routes["euclid"]) >= 12
 
 
 GLCD_GOLDEN = json.loads((Path(__file__).parent / "golden" / "glcd.json").read_text())
@@ -442,7 +447,7 @@ def test_glcd_representative_is_pinned(case):
 
 def test_glcd_goldens_cover_every_route():
     routes = Counter(_glcd_route(Icosian(tuple(c["p"])), OInt(*c["beta"])) for c in GLCD_GOLDEN)
-    assert routes == {"p": 11, "search": 9}
+    assert routes == {"p": 11, "euclid": 9}
 
 
 # Small coordinates, and coordinates past 2**63.
@@ -584,3 +589,121 @@ def test_balance_matches_lcm_route(p):
         return
     assert _balance(p) == expected
 
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ZC, _COORD, _COORD)
+def test_scale_o_matches_the_coordinate_route(zc, a, b):
+    """s x as a x + b (tau x) on the integer vector, against the product of
+    each o-coordinate; for a scalar x = s, conj(d) x is conj(d) scaled by s,
+    the shortcut of left division."""
+    d, s = Icosian(zc), OInt(a, b)
+    assert d.scale_o(s) == Icosian.from_coords(tuple(s * c for c in d.coords()))
+    assert d.conj().scale_o(s) == d.conj() * Icosian.from_o(s)
+    if any(zc):
+        product = d.conj() * Icosian.from_o(s)
+        assert left_divides(d, Icosian.from_o(s)) == all(d.nr().divides(c) for c in product.coords())
+
+
+def _matrix_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_e8_coordinates_are_an_isometry():
+    """Rows of _E8_T are 2 zb_i in the standard coordinates of E8: _E8_T
+    _E8_T^T = 4 NORM_A_GRAM and |det _E8_T| = 2^8, so that the zb_i are a
+    basis of E8 (det NORM_A_GRAM = 1), and _E8_U = 4 _E8_T^-1."""
+    assert _matrix_product(_E8_T, list(zip(*_E8_T))) == [[4 * v for v in row] for row in NORM_A_GRAM]
+    assert Rank8Module.from_rows(_E8_T).index() == 2**8
+    assert Rank8Module.from_rows(NORM_A_GRAM).index() == 1
+    assert _matrix_product(_E8_T, _E8_U) == [[4 * (i == j) for j in range(8)] for i in range(8)]
+    for row in _E8_T:  # E8 = D8 u (D8 + 1/2), doubled
+        assert len({v % 2 for v in row}) == 1 and sum(row) % 4 == 0
+
+
+_ROOTS = [v for x, _ in enumerate_form(NORM_A_GRAM, 2) for v in (x, tuple(-c for c in x))]
+
+
+def test_decoder_returns_a_nearest_point():
+    """For seeded rational targets y/n (including points halfway between
+    lattice points and coordinates past 2**63), the decoded q is no farther
+    than q plus any of the 240 roots, and 2 a(nr(y/n - q)) <= 1, the
+    covering radius of E8."""
+    assert len(_ROOTS) == 240
+    dec_rng = random.Random(8128)
+    targets = [((1,) * 8, 2), ((1, 0, 0, 0, 0, 0, 0, 0), 2), ((0,) * 8, 7)]
+    for k in range(400):
+        n = dec_rng.choice((1, 2, 4, dec_rng.randint(1, 60), dec_rng.randint(1, 2**70)))
+        span = n * dec_rng.choice((2, 50)) if k % 4 else 2**80
+        targets.append((tuple(dec_rng.randint(-span, span) for _ in range(8)), n))
+    for y, n in targets:
+        q = _nearest_icosian(y, n)
+        diff = tuple(a - n * b for a, b in zip(y, q))  # n (y/n - q)
+        dist = eval_form(NORM_A_GRAM, diff)
+        assert dist <= n * n
+        for root in _ROOTS:
+            assert dist <= eval_form(NORM_A_GRAM, tuple(a - n * r for a, r in zip(diff, root)))
+
+
+def _seeded_pairs(seed, count):
+    """(p, beta) with beta = den p, beta in sqrt5*Z and beta = a + b tau, b != 0."""
+    pair_rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < 3 * count:
+        p = Icosian(tuple(pair_rng.randint(-3, 3) for _ in range(8)))
+        if p.is_zero():
+            continue
+        kind = len(pairs) % 3
+        if kind == 0 and not (is_primitive(p) and is_admissible(p)):
+            continue
+        if kind == 0:
+            beta = OInt(den(p), 0)
+        elif kind == 1:
+            beta = SQRT5 * OInt(pair_rng.randint(1, 4), 0)
+        else:
+            beta = OInt(pair_rng.randint(-5, 5), pair_rng.choice((-3, -1, 1, 2)))
+        pairs.append((p, beta))
+    return pairs
+
+
+def test_remainders_descend_and_keep_the_bezout_identity():
+    """Every remainder r_i = p x_i + beta y_i with y_i in I, nr is stored
+    right, N(nr) falls to at most 5/16 of itself at every step, and the last
+    remainder generates p I + beta I; sequences of one, two and three
+    divisions all occur."""
+    lengths = Counter()
+    for p, beta in _seeded_pairs(4096, 40):
+        b = Icosian.from_o(beta)
+        seq = icosian._remainders(p, p.nr(), beta)
+        lengths[len(seq)] += 1
+        assert seq[0][0] == p
+        norms = [m.field_norm() for _, m, _ in seq]
+        assert all(0 < 16 * c <= 5 * a for a, c in zip(norms, norms[1:]))  # the E8 bound
+        for r, m, x in seq:
+            assert r.nr() == m
+            y = Icosian.from_coords(tuple(c.exact_div(beta) for c in (r - p * x).coords()))
+            assert r == p * x + b * y
+        assert right_ideal([seq[-1][0]]).rows == right_ideal([p, b]).rows
+    assert {1, 2, 3} <= set(lengths)
+
+
+def test_a_decoder_that_returns_zero_raises(monkeypatch):
+    """With q_i = 0 the remainders alternate between beta and p, so N(nr)
+    cannot fall at both steps: the descent check raises, where a sequence
+    without it would not end (here: fail after 100 divisions)."""
+    calls = []
+
+    def zero(y, n):
+        calls.append(n)
+        if len(calls) > 100:
+            raise RuntimeError("the remainder sequence does not end")
+        return (0,) * 8
+
+    monkeypatch.setattr(icosian, "_nearest_icosian", zero)
+    cases = [(Icosian(tuple(c["p"])), OInt(*c["beta"])) for c in GLCD_GOLDEN]
+    cases = [(p, beta) for p, beta in cases if _glcd_route(p, beta) == "euclid"]
+    cases = [(p, beta) for p, beta in cases if not left_divides(Icosian.from_o(beta), p)]
+    assert cases
+    for p, beta in cases:
+        calls.clear()
+        with pytest.raises(AssertionError, match="did not lower N"):
+            glcd(p, beta)

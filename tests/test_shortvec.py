@@ -8,17 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import BudgetError, DomainError
 from a4csl.field import OInt, gauss_jordan
-from a4csl.hnf import hnf
 from a4csl.icosian import NORM_A_GRAM, TRACE_GRAM, Icosian, right_ideal
 from a4csl.shortvec import (
     NodeBudget,
-    _lll,
     _prepared,
     enumerate_form,
     enumerate_two_forms,
     eval_form,
     gram_of_basis,
-    lll_reduce,
 )
 
 rng = random.Random(4181)
@@ -169,7 +166,7 @@ def test_budget_accumulates_across_calls():
     assert budget.used == both
 
 
-# -- form preparation and LLL against a Fraction oracle ----------------------
+# -- form preparation against a Fraction oracle ------------------------------
 
 
 def _fraction_ldl(gram):
@@ -211,19 +208,6 @@ def _dense_gram(gram, rows):
     return tuple(tuple(sum(a[i] * gram[i][j] * b[j] for i in dim for j in dim) for b in rows) for a in rows)
 
 
-def _integral_gram_schmidt(gram):
-    """Cohen's integral data from the LDL: the leading minors dm (dm[0] = 1)
-    and lam[k][j] = dm[j+1] * mu_kj, checked to be integers."""
-    d, u = _fraction_ldl(gram)
-    dm = [Fraction(1)]
-    for di in d:
-        dm.append(dm[-1] * di)
-    n = len(gram)
-    lam = [[dm[j + 1] * u[j][k] for j in range(k)] for k in range(n)]
-    assert all(v.denominator == 1 for v in dm) and all(v.denominator == 1 for row in lam for v in row)
-    return [int(v) for v in dm], [[int(v) for v in row] for row in lam]
-
-
 @st.composite
 def pd_grams(draw, max_dim=8):
     """B^T B + D for an integer B and a positive diagonal D."""
@@ -245,7 +229,7 @@ def symmetric_matrices(draw, max_dim=6):
 
 @st.composite
 def glcd_modules(draw):
-    """The HNF rows of p I + beta I, a module that glcd searches."""
+    """The HNF rows of p I + beta I, the module whose generator glcd returns."""
     p = Icosian(draw(st.tuples(*[st.integers(-3, 3)] * 8).filter(any)))
     beta = OInt(draw(st.integers(1, 6)), draw(st.integers(0, 3)))
     return right_ideal([p, Icosian.from_o(beta)]).rows
@@ -260,7 +244,7 @@ def test_prepared_matches_fraction_ldl_on_pd_grams(gram):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(glcd_modules())
 def test_prepared_matches_fraction_ldl_on_glcd_grams(rows):
-    for gram in (TRACE_GRAM, NORM_A_GRAM, gram_of_basis(TRACE_GRAM, lll_reduce(rows, TRACE_GRAM))):
+    for gram in (TRACE_GRAM, NORM_A_GRAM, gram_of_basis(TRACE_GRAM, rows)):
         assert _prepared(gram) == _prepared_oracle(gram)
 
 
@@ -299,64 +283,3 @@ def test_gram_of_basis_on_hnf_rows_and_non_square_bases():
     assert gram_of_basis(TRACE_GRAM, rows) == _dense_gram(TRACE_GRAM, rows)
     for some in (rows[:3], rows[5:], rows + rows[:2], ()):
         assert gram_of_basis(TRACE_GRAM, some) == _dense_gram(TRACE_GRAM, some)
-
-
-def _assert_lll_reduced(rows, gram):
-    dm, lam = _integral_gram_schmidt(_dense_gram(gram, rows))
-    for k in range(1, len(rows)):
-        for j in range(k):
-            assert 2 * abs(lam[k][j]) <= dm[j + 1]
-        # Lovasz with delta = 3/4, on integers.
-        assert 4 * dm[k + 1] * dm[k - 1] >= 3 * dm[k] ** 2 - 4 * lam[k][k - 1] ** 2
-
-
-@st.composite
-def full_rank_bases(draw, max_dim=8):
-    """(rows, gram): a nonsingular integer basis of Z^n and a PD form."""
-    gram = draw(pd_grams(max_dim))
-    n = len(gram)
-    rows = draw(
-        st.lists(st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=n, max_size=n).filter(
-            lambda r: len(hnf(r)) == n
-        )
-    )
-    return rows, gram
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(full_rank_bases())
-def test_lll_reduce_random_bases(basis):
-    rows, gram = basis
-    out = lll_reduce(rows, gram)
-    assert hnf(out) == hnf(rows)
-    _assert_lll_reduced(out, gram)
-    assert lll_reduce(out, gram) == out
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(glcd_modules())
-def test_lll_reduce_glcd_modules(rows):
-    out = lll_reduce(rows, TRACE_GRAM)
-    assert hnf(out) == [list(r) for r in rows]
-    _assert_lll_reduced(out, TRACE_GRAM)
-    assert lll_reduce(out, TRACE_GRAM) == out
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(full_rank_bases())
-def test_lll_returns_the_gram_of_its_basis(basis):
-    rows, gram = basis
-    out, out_gram = _lll(rows, gram)
-    assert out == lll_reduce(rows, gram)
-    assert out_gram == _dense_gram(gram, out)
-
-
-def test_lll_reduce_edge_cases():
-    assert lll_reduce([], ((1,),)) == ()
-    assert lll_reduce([(5,)], ((3,),)) == ((5,),)
-    # The classical example: a basis of Z^2 that reduces to unit vectors.
-    assert lll_reduce([(1, 0), (41, 1)], ((1, 0), (0, 1))) == ((1, 0), (0, 1))
-    with pytest.raises(DomainError):
-        lll_reduce([(1, 2), (2, 4)], ((1, 0), (0, 1)))
-    with pytest.raises(DomainError):
-        lll_reduce([(1, 0), (0, 1)], ((1, 2), (2, 1)))
