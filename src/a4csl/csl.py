@@ -6,7 +6,7 @@ admissible, i.e. |q twist(q)| is a positive integer.  The CSL L n R(q)L
 can be produced three ways -- direct intersection, the phi_plus image of
 the extension q_alpha, and (q_alpha I + I twist(q_alpha)) n L -- which
 must agree; the coincidence index is lcm(nr q, nr q').  The direct
-intersection and the ideal form each read L-coordinates off one left kernel.
+intersection and the ideal form each read the CSL's HNF off one echelon form.
 The image rows q b_j twist(q) are a quadratic form in the coordinates of q:
 they are read from a table of the 36 pair terms zb_i b_j twist(zb_k) +
 zb_k b_j twist(zb_i), built once and checked to lie in L, with no icosian
@@ -33,7 +33,6 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .field import OInt, SQRT5, unit_normalize
-from .hnf import left_kernel
 from .icosian import (
     ZB_ICO,
     Icosian,
@@ -54,6 +53,7 @@ from .icosian import (
 from .lattice import (
     B_ICO,
     SublatticeL,
+    _meet_from_block,
     int_L_coords,
     module_to_L,
     phi_plus_image,
@@ -67,23 +67,27 @@ log = logging.getLogger("a4csl")
 class CoincidenceRotation:
     """A coincidence rotation R(q) with its exact data.
 
-    matrix acts on L-coordinate column vectors; column j holds the
-    coordinates of the image of the j-th basis vector.  It is built from
-    the extension q_alpha (denominator sigma), which makes it invariant
-    under unit rescalings of q; R(tau * q) = -R(q) as raw maps, and the
-    extension fixes that sign canonically.  image_rows holds the checked
-    integer L-coordinates of the images q_alpha b_j twist(q_alpha) (sigma
-    times the columns of matrix), which csl_intersection reuses; to_json
-    leaves them out.
+    image_rows holds the integer L-coordinates of the images
+    q_alpha b_j twist(q_alpha), checked to preserve the Gram form up to
+    sigma^2; csl_intersection reuses them, and to_json leaves them out.
+    They come from the extension q_alpha (denominator sigma), which makes
+    them invariant under unit rescalings of q; R(tau * q) = -R(q) as raw
+    maps, and the extension fixes that sign canonically.
     """
 
     q: Icosian
     q_alpha: Icosian
     alpha: OInt
-    matrix: tuple[tuple[Fraction, ...], ...]
     sigma: int
     den: int
     image_rows: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rational matrix acting on L-coordinate column vectors: column
+        j, the coordinates of the image of the j-th basis vector, is
+        image_rows[j] / sigma."""
+        return _matrix(self.image_rows, self.sigma)
 
     def to_json(self) -> dict:
         return {
@@ -142,10 +146,15 @@ def _balanced_part(q: Icosian) -> tuple[Icosian, Icosian, OInt, int, int]:
     return p, p.scale_o(alpha), alpha, sig, d
 
 
-def _matrix(rows, s: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The isometry matrix (1/s) rows^T, checked to preserve the Gram form."""
+def _isometry_rows(rows, s: int):
+    """rows, checked to preserve the Gram form up to s^2."""
     if not rows_preserve_gram(rows, s):
         raise AssertionError("isometry matrix must preserve the Gram form")
+    return rows
+
+
+def _matrix(rows, s: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The isometry matrix (1/s) rows^T."""
     return tuple(tuple(Fraction(rows[j][i], s) for j in range(4)) for i in range(4))
 
 
@@ -156,18 +165,18 @@ def rotation_of(q: Icosian) -> CoincidenceRotation:
     denominator is not a positive integer.
     """
     p, q_alpha, alpha, sig, d = _balanced_part(q)
-    rows = tuple(_image_rows(q_alpha))
-    return CoincidenceRotation(
-        q=p, q_alpha=q_alpha, alpha=alpha, matrix=_matrix(rows, sig), sigma=sig, den=d, image_rows=rows
-    )
+    rows = _isometry_rows(tuple(_image_rows(q_alpha)), sig)
+    return CoincidenceRotation(q=p, q_alpha=q_alpha, alpha=alpha, sigma=sig, den=d, image_rows=rows)
 
 
 def _intersection_from_rows(rows, d: int, expected_index: int) -> SublatticeL:
-    """L n (1/d) span(rows): a kernel vector c of d*I_4 + rows has
-    d * c[:4] in the span of the rows, so c[:4] runs over the meet."""
-    scaled_l = [[d * int(i == j) for j in range(4)] for i in range(4)]
-    gens = [c[:4] for c in left_kernel(scaled_l + list(rows))]
-    lat = SublatticeL.from_integer_rows(gens)
+    """L n (1/d) span(rows), from the rows [d e_i | e_i] and [r | 0]: those
+    combinations that vanish on the first 4 columns carry a vector v with
+    d v in the span of the rows in their last 4."""
+    lat = _meet_from_block(
+        [[d * int(i == j) for j in range(4)] + [int(i == j) for j in range(4)] for i in range(4)]
+        + [list(r) + [0, 0, 0, 0] for r in rows]
+    )
     if lat.index != expected_index:
         raise DomainError(
             f"intersection index {lat.index} != coincidence index {expected_index}"
@@ -190,8 +199,7 @@ def csl_Lq(rot: CoincidenceRotation) -> SublatticeL:
 
 def csl_ideal_form(rot: CoincidenceRotation) -> SublatticeL:
     """The CSL as (q_alpha I + I twist(q_alpha)) n L."""
-    rows = _left_rows(rot.q_alpha.zc) + left_ideal_rows(rot.q_alpha.twist())
-    lat = module_to_L(Rank8Module.from_rows(rows))
+    lat = module_to_L(_left_rows(rot.q_alpha.zc) + left_ideal_rows(rot.q_alpha.twist()))
     if lat.index != rot.sigma:
         raise DomainError(f"ideal-form index {lat.index} != sigma {rot.sigma}")
     return lat
@@ -269,7 +277,7 @@ def reflection_matrix(q: Icosian) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of the orientation-reversing map x -> q conj(x) twist(q) / den,
     canonicalised through the extension like rotation_of."""
     _p, q_alpha, _alpha, sig, _d = _balanced_part(q)
-    return _matrix(_image_rows(q_alpha, conjugate_argument=True), sig)
+    return _matrix(_isometry_rows(_image_rows(q_alpha, conjugate_argument=True), sig), sig)
 
 
 def reflection_csl(q: Icosian) -> SublatticeL:

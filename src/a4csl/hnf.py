@@ -1,12 +1,12 @@
-"""Integer-matrix workhorses: row Hermite normal form, kernels, intersections.
+"""Integer-matrix workhorses: row Hermite normal form and intersections.
 
 Matrices are lists/tuples of integer row vectors; lattices are row spans.
 The HNF convention is row-style echelon: pivots strictly to the right as
 rows descend, positive pivots, entries above a pivot reduced into
 [0, pivot).  Zero rows are dropped, so the HNF is a canonical basis of the
 row lattice and two lattices are equal iff their HNFs are identical.
-Kernels and intersections are each read off one HNF of an augmented
-matrix: the rows that vanish on the leading block.
+Every meet is read off one HNF of an augmented matrix: it is in echelon
+form, so its rows that vanish on the leading block hold the meet's HNF.
 """
 
 from __future__ import annotations
@@ -69,17 +69,10 @@ def hnf_square(rows, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in h)
 
 
-def left_kernel(rows) -> list[list[int]]:
-    """Basis (in HNF) of {c : sum_i c_i * rows[i] = 0} over Z.
-
-    The rows of hnf([rows[i] | e_i]) that vanish on the first n columns form
-    the HNF of the kernel in their last m columns.
-    """
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    aug = [r + [int(i == j) for j in range(m)] for i, r in enumerate(a)]
-    return [row[n:] for row in hnf(aug) if not any(row[:n])]
+def _lower_block(rows, k: int) -> list[list[int]]:
+    """The rows of hnf(rows) that vanish on the first k columns, without
+    those columns: the HNF of the row span's meet with 0^k x Z^(n-k)."""
+    return [row[k:] for row in hnf(rows) if not any(row[:k])]
 
 
 def intersect_rows(rows_a, rows_b) -> list[list[int]]:
@@ -89,8 +82,7 @@ def intersect_rows(rows_a, rows_b) -> list[list[int]]:
     if not a or not rows_b:
         return []
     n = len(a[0])
-    aug = [r + r for r in a] + [list(r) + [0] * n for r in rows_b]
-    return [row[n:] for row in hnf(aug) if not any(row[:n])]
+    return _lower_block([r + r for r in a] + [list(r) + [0] * n for r in rows_b], n)
 
 
 def contains(hnf_rows, vec) -> bool:

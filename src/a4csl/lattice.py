@@ -3,9 +3,8 @@
 L is spanned by four fixed twist-invariant icosians b1..b4; its Gram matrix
 is exactly half the A4 Cartan matrix.  All sublattices are stored in
 L-coordinates as canonical 4x4 integer HNFs, so lattice equality is HNF
-equality and every index is a diagonal product.  Intersections are
-computed by one integer-kernel code path that also serves the rank-8
-module case (module intersected with the rational span of L).
+equality and every index is a diagonal product.  Each meet with L is read
+off one echelon form, after a change of coordinates taking L to 0 x Z^4.
 """
 
 from __future__ import annotations
@@ -14,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .errors import DomainError
 from .field import KNum, gauss_jordan
-from .hnf import hnf_square, diagonal_product, intersect_rows, left_kernel, contains as hnf_contains
+from .hnf import _lower_block, hnf_square, diagonal_product, intersect_rows, contains as hnf_contains
 from .icosian import ZB_ICO, Icosian, Rank8Module, _combine, _sparse, _split
 from .quaternion import Quat
 
@@ -74,6 +74,11 @@ _lead_inv, _lead_det = _inverse_and_det(_LEAD)
 if abs(_lead_det) != 1:
     raise AssertionError("leading block of the L basis must be unimodular")
 _LEAD_INV = tuple(tuple(int(v) for v in row) for row in _lead_inv)
+
+# x -> (x[4:] - x[:4] C, x[:4] LEAD^-1) with C = LEAD^-1 B_ZC[:, 4:]: a change of
+# coordinates of determinant +-det LEAD^-1 = +-1 that takes v B_ZC to (0, v).
+_C = [[sum(_LEAD_INV[c][i] * B_ZC[i][4 + j] for i in range(4)) for j in range(4)] for c in range(4)]
+_TO_L = _sparse([[-v for v in _C[c]] + list(_LEAD_INV[c]) for c in range(4)] + [z.zc for z in ZB_ICO[:4]])
 
 
 def int_L_coords(x: Icosian) -> tuple[int, int, int, int] | None:
@@ -184,13 +189,21 @@ def dual_L() -> tuple[tuple[Fraction, ...], ...]:
     return GRAM_INV
 
 
-def module_to_L(mod: Rank8Module) -> SublatticeL:
-    """Intersection of a full rank-8 submodule of I with L, in L-coordinates:
-    c[:4] over the left kernel c of B_ZC + mod.rows (sum c_i b_i lies in mod)."""
-    gens = [c[:4] for c in left_kernel(list(B_ZC) + list(mod.rows))]
-    if len(gens) < 4:
-        raise DomainError("module meets L in rank < 4")
-    return SublatticeL.from_integer_rows(gens)
+def _meet_from_block(rows) -> SublatticeL:
+    """The sublattice of L with the HNF _lower_block(rows, 4): the meet, when
+    the rows with 4 leading zeros span it in L-coordinates.  Rank 4 or raise."""
+    block = _lower_block(rows, 4)
+    if len(block) != 4:
+        raise DomainError(f"the meet with L has rank {len(block)} < 4")
+    return SublatticeL(tuple(map(tuple, block)))
+
+
+def module_to_L(mod) -> SublatticeL:
+    """M n L in L-coordinates, for M a Rank8Module or the Z-span of integer
+    generator rows (coordinates in I): the meet read off one HNF of the
+    rows under the change of coordinates _TO_L."""
+    rows = mod.rows if isinstance(mod, Rank8Module) else mod
+    return _meet_from_block([_combine(r, _TO_L, 8) for r in rows])
 
 
 @lru_cache(maxsize=1)
@@ -233,17 +246,17 @@ def conjugation_matrix_L() -> tuple[tuple[int, ...], ...]:
 
 
 GRAM2 = tuple(tuple(int(2 * v) for v in row) for row in GRAM)  # the A4 Cartan matrix
+_GRAM2_COLS = tuple(zip(*GRAM2))
 
 
 def rows_preserve_gram(rows, s: int) -> bool:
     """R (2G) R^T == s^2 (2G) for the integer 4x4 matrix R = rows: the map
-    with column j = rows[j] / s preserves the Gram form."""
-    rg = [[sum(r[k] * GRAM2[k][j] for k in range(4)) for j in range(4)] for r in rows]
+    with column j = rows[j] / s preserves the Gram form.  Both sides are
+    symmetric, so the entries with i <= j decide."""
+    rg = [[sum(map(mul, r, col)) for col in _GRAM2_COLS] for r in rows]
     s2 = s * s
     return all(
-        sum(rg[i][k] * rows[j][k] for k in range(4)) == s2 * GRAM2[i][j]
-        for i in range(4)
-        for j in range(4)
+        sum(map(mul, rg[i], rows[j])) == s2 * GRAM2[i][j] for i in range(4) for j in range(i, 4)
     )
 
 

@@ -19,6 +19,13 @@ def test_rot_worked_example(capsys):
     assert "den       = 5" in out
     assert "alpha     = -1+t" in out
     assert "q_alpha   = (1, 2, 0, 0)" in out
+    assert out.endswith(
+        "matrix (columns are images of the basis):\n"
+        "  [-3/5, 2/5, 4/5, -2/5]\n"
+        "  [0, 1, 0, 0]\n"
+        "  [-4/5, 6/5, -3/5, 4/5]\n"
+        "  [0, 0, 0, 1]\n"
+    )
 
 
 def test_rot_identity(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import a4csl.csl as csl
 from a4csl.errors import DomainError
 from a4csl.field import OInt, TAU, lcm_o, unit_normalize
+from a4csl.hnf import diagonal_product, hnf, intersect_rows
 from a4csl.icosian import Icosian, den, extension, sigma_index, to_icosian, unit_group
 from a4csl.lattice import (
     B_ICO,
@@ -22,6 +23,7 @@ from a4csl.lattice import (
 from a4csl.csl import (
     CslRecord,
     _image_rows,
+    _intersection_from_rows,
     criterion_ideal,
     csl_Lq,
     csl_ideal_form,
@@ -179,6 +181,33 @@ def test_triple_construction_agreement():
         assert a.hnf == b.hnf == c.hnf
         m = rot.q.nr()
         assert a.index == rot.sigma == lcm_o(m, m.conj()).a
+
+
+def _meet_by_intersect_rows(rows, d):
+    """L n (1/d) span(rows) as intersect_rows(d L, rows) divided by d."""
+    scaled_l = [[d * int(i == j) for j in range(4)] for i in range(4)]
+    return tuple(tuple(v // d for v in row) for row in intersect_rows(scaled_l, rows))
+
+
+def test_intersection_from_rows_matches_intersect_rows():
+    """On rotation and reflection image rows, and on random full-rank rows
+    with a random denominator, the meet read off one echelon form is
+    intersect_rows(d L, rows) / d; a meet of rank below 4 raises."""
+    cases = []
+    for q in [R_ICO, S_ICO] + rand_admissible(400, 200):
+        rot = rotation_of(q)
+        cases.append((rot.image_rows, rot.sigma))
+        cases.append((_image_rows(rot.q_alpha, conjugate_argument=True), rot.sigma))
+    while len(cases) < 160:
+        rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+        if len(hnf(rows)) == 4:
+            cases.append((rows, rng.randint(1, 30)))
+    for rows, d in cases:
+        want = _meet_by_intersect_rows(rows, d)
+        assert _intersection_from_rows(rows, d, diagonal_product(want)).hnf == want
+    for rows in ([[1, 2, 3, 4], [0, 5, 1, 1]], [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0]]):
+        with pytest.raises(DomainError, match="rank"):
+            _intersection_from_rows(rows, 3, 27)
 
 
 def test_sigma_examples():
@@ -349,13 +378,17 @@ def test_image_rows_match_per_basis_products(zc, reflect):
 
 def test_rotation_keeps_its_image_rows():
     """The integer image rows kept on the rotation are those of q_alpha,
-    sigma times the columns of the matrix; they stay out of to_json and
-    equality."""
+    sigma times the columns of the matrix, which is built from them when
+    read; they stay out of to_json and equality."""
     for q in [R_ICO, S_ICO, Icosian.from_int(1)] + rand_admissible(max_sigma=400, tries=300):
         rot = rotation_of(q)
         assert rot.image_rows == tuple(_image_rows(rot.q_alpha))
         assert rot.image_rows == tuple(
             tuple(int(rot.matrix[i][j] * rot.sigma) for i in range(4)) for j in range(4)
+        )
+        # matrix is read from the image rows; the eager construction it replaced
+        assert rot.matrix == tuple(
+            tuple(Fraction(rot.image_rows[j][i], rot.sigma) for j in range(4)) for i in range(4)
         )
         assert "image_rows" not in rot.to_json()
         assert rot == rotation_of(q.scale_o(OInt(2, 0)))

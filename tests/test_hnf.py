@@ -10,10 +10,20 @@ from a4csl.hnf import (
     hnf,
     hnf_square,
     intersect_rows,
-    left_kernel,
 )
 
 rng = random.Random(4242)
+
+
+def left_kernel(rows) -> list[list[int]]:
+    """Basis (in HNF) of {c : sum_i c_i * rows[i] = 0} over Z: the rows of
+    hnf([rows[i] | e_i]) that vanish on the first n columns, cut to their
+    last m columns.  The oracle of the meets read off one echelon form."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    aug = [r + [int(i == j) for j in range(m)] for i, r in enumerate(a)]
+    return [row[n:] for row in hnf(aug) if not any(row[:n])]
 
 
 def rand_matrix(m, n, span=6):

@@ -6,10 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import DomainError
 from a4csl.field import OInt
-from a4csl.hnf import hnf
-from a4csl.icosian import ZB_ICO, Icosian, right_ideal, to_icosian
+from a4csl.hnf import hnf, hnf_square
+from a4csl.icosian import (
+    ZB_ICO,
+    Icosian,
+    _combine,
+    _left_rows,
+    extension,
+    left_ideal_rows,
+    right_ideal,
+    to_icosian,
+)
 from a4csl.lattice import (
+    _TO_L,
     B_ICO,
+    B_ZC,
     GRAM,
     GRAM2,
     GRAM_DET,
@@ -27,6 +38,7 @@ from a4csl.lattice import (
     to_L_coords,
 )
 from a4csl.quaternion import parse_quat, twist
+from test_hnf import left_kernel
 
 rng = random.Random(271828)
 
@@ -156,6 +168,66 @@ def test_module_to_L_examples():
     assert module_to_L(ident).hnf == SublatticeL.full().hnf
     doubled = right_ideal([Icosian.from_int(2)])
     assert module_to_L(doubled).hnf == SublatticeL.full().scaled(2).hnf
+
+
+def _module_to_L_by_kernel(rows):
+    """M n L the old way: c[:4] over the left kernel c of B_ZC + rows, which
+    says sum c_i b_i lies in M, then the square HNF."""
+    return hnf_square([c[:4] for c in left_kernel(list(B_ZC) + [list(r) for r in rows])], 4)
+
+
+def test_to_L_is_unimodular_and_takes_L_to_its_coordinates():
+    dense = [[0] * 8 for _ in range(8)]
+    for i, row in enumerate(_TO_L):
+        for k, t in row:
+            dense[i][k] = t
+    assert hnf(dense) == [[int(i == j) for j in range(8)] for i in range(8)]
+    for i, b in enumerate(B_ZC):
+        assert _combine(b, _TO_L, 8) == [0] * 4 + [int(i == j) for j in range(4)]
+
+
+def _random_icosian():
+    while True:
+        q = Icosian(tuple(rng.randint(-3, 3) for _ in range(8)))
+        if not q.is_zero():
+            return q
+
+
+def test_module_to_L_matches_the_kernel_route():
+    """On right ideals qI (as Rank8Modules and as their generator rows), on
+    the two-sided modules q I + I twist(q), for q random and for the
+    extensions q_alpha of the csl_ideal_form, and on random full-rank 8-row
+    modules, the meet read off one echelon form is the kernel route's."""
+    two_sided_generators = []
+    for _ in range(40):
+        q = _random_icosian()
+        ideal = right_ideal([q])
+        assert module_to_L(ideal).hnf == _module_to_L_by_kernel(ideal.rows)
+        assert module_to_L(_left_rows(q.zc)).hnf == _module_to_L_by_kernel(ideal.rows)
+        two_sided_generators.append(q)
+    while len(two_sided_generators) < 50:
+        p = _random_icosian().primitive_part()
+        if p.is_admissible():
+            two_sided_generators.append(extension(p)[0])
+    for g in two_sided_generators:
+        two_sided = _left_rows(g.zc) + left_ideal_rows(g.twist())
+        assert module_to_L(two_sided).hnf == _module_to_L_by_kernel(two_sided)
+    full_rank = 0
+    while full_rank < 40:
+        rows = [[rng.randint(-5, 5) for _ in range(8)] for _ in range(8)]
+        if len(hnf(rows)) == 8:
+            full_rank += 1
+            assert module_to_L(rows).hnf == _module_to_L_by_kernel(rows)
+
+
+def test_module_to_L_refuses_a_meet_of_rank_below_4():
+    cases = [[list(B_ZC[0]), list(B_ZC[1])], [list(ZB_ICO[1].zc)]]
+    cases += [[[rng.randint(-5, 5) for _ in range(8)] for _ in range(7)] for _ in range(20)]
+    for rows in cases:
+        with pytest.raises(DomainError):
+            _module_to_L_by_kernel(rows)
+        with pytest.raises(DomainError, match="rank"):
+            module_to_L(rows)
 
 
 def test_phi_plus_image_examples():
