@@ -25,7 +25,6 @@ from .icosian import (
     den,
     extension,
     glcd,
-    glcd_equal,
     is_admissible,
     is_primitive,
     is_unit,
@@ -37,8 +36,6 @@ from .icosian import (
 from .lattice import (
     GRAM,
     SublatticeL,
-    dual_L,
-    hnf4,
     intersect,
     lattice_sum,
     module_to_L,

@@ -248,33 +248,6 @@ def abs_norm(x: KNum) -> Fraction:
     return x.norm()
 
 
-def gauss_jordan(rows, ncols: int):
-    """Bring rows (lists of Fraction or KNum) to reduced row echelon form in
-    their first ncols columns, in place; later columns (an identity block,
-    right-hand sides) ride along.  Returns the signed product of the pivots:
-    the determinant of a square matrix, 0 iff some column lacks a pivot.
-    """
-    det = 1
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            det = 0
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            det = -det
-        p = rows[r][col]
-        det = det * p
-        rows[r] = [v / p for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                f = row[col]
-                rows[i] = [v - f * w for v, w in zip(row, rows[r])]
-        r += 1
-    return det
-
-
 def _ratio_ge_tau2(y: OInt) -> bool:
     # sigma1(y)/|sigma2(y)| >= tau^2  <=>  sigma1(y^2 - tau^4 * (y')^2) >= 0
     w = y.conj()
@@ -497,7 +470,8 @@ def sqrt_o(x: OInt) -> OInt | None:
 # -- text form -------------------------------------------------------------
 #
 # Canonical form "a+b*t" with reduced fractions, e.g. "-1/2+3/2*t", "t", "2".
-# The parser also accepts whitespace, unicode minus and an omitted "*".
+# The parser also accepts whitespace, unicode minus and an omitted "*"; a "*"
+# needs a coefficient before it, and "_" (which Fraction would skip) is refused.
 
 
 def format_knum(x: KNum) -> str:
@@ -532,7 +506,11 @@ def _parse_term(term: str) -> KNum:
     if not term:
         raise ParseError("empty term")
     if term.endswith("t"):
-        coeff = term[:-1].rstrip("*")
+        coeff = term[:-1]
+        if coeff.endswith("*"):
+            coeff = coeff[:-1]
+            if not coeff:
+                raise ParseError("'*' needs a coefficient before it")
         value = KNum(Fraction(0), Fraction(coeff) if coeff else Fraction(1))
     else:
         value = KNum(Fraction(term), Fraction(0))
@@ -544,6 +522,8 @@ def parse_knum(text: str) -> KNum:
     s = "".join(text.split()).replace("−", "-").replace("–", "-")
     if not s:
         raise ParseError("empty number")
+    if "_" in s:
+        raise ParseError(f"cannot parse {text!r} as a+b*t: '_' is not a digit")
     terms = []
     start = 0
     for i in range(1, len(s)):

@@ -9,6 +9,9 @@ and the fixed Z-basis zb_0..zb_7 = (e1..e4, tau*e1..tau*e4) in that order.
 An Icosian stores its integer coordinate 8-vector with respect to that
 Z-basis; multiplication, twist and conjugation act through precomputed
 integer structure tables, so bulk arithmetic never touches rationals.
+A quaternion q enters through from_quat on integers: q = y/d with y in
+o^4, an icosian since 1, i, j and k are, and q lies in I iff d divides the
+coordinates of y.
 The Z-basis rows of q*I and I*q (the products q*zb_j and zb_j*q) are read
 straight from the product table _MUL, as one pass of _combine over the
 coordinates of q, and Icosian.__mul__ applies those rows of its left
@@ -50,14 +53,13 @@ from .field import (
     KNum,
     OInt,
     ZERO_O,
-    gauss_jordan,
     gcd_o,
     sqrt_o,
     tau_pow,
     unit_normalize,
 )
 from .hnf import diagonal_product, hnf_square, contains as hnf_contains
-from .quaternion import Quat
+from .quaternion import Quat, _cleared
 from .shortvec import eval_form
 
 _H = Fraction(1, 2)
@@ -70,27 +72,6 @@ BASIS = (
 )
 _TAU_K = KNum(Fraction(0), Fraction(1))
 ZBASIS_QUATS = BASIS + tuple(b.scale(_TAU_K) for b in BASIS)
-
-
-# The membership system, augmented by the identity: component i of basis
-# quaternion j; Gauss-Jordan leaves its inverse in the right-hand block.
-_aug = [
-    [BASIS[j].components()[i] for j in range(4)] + [KNum.of(int(i == j)) for j in range(4)]
-    for i in range(4)
-]
-gauss_jordan(_aug, 4)
-_MINV = [row[4:] for row in _aug]
-
-
-def _o_coords_of_quat(q: Quat) -> tuple[KNum, KNum, KNum, KNum]:
-    comps = q.components()
-    out = []
-    for j in range(4):
-        acc = KNum.of(0)
-        for i in range(4):
-            acc = acc + _MINV[j][i] * comps[i]
-        out.append(acc)
-    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,10 +87,13 @@ class Icosian:
 
     @classmethod
     def from_quat(cls, q: Quat) -> "Icosian | None":
-        coords = _o_coords_of_quat(q)
-        if not all(c.is_integral() for c in coords):
+        """q as an icosian, or None if q is not in I: q = d^-1 y with y in
+        o^4, which lies in I, and q is in I iff d divides y's coordinates."""
+        d, parts = _cleared(q)
+        zc = _zc_of_o4(parts)
+        if any(v % d for v in zc):
             return None
-        return cls.from_coords(tuple(c.to_oint() for c in coords))
+        return cls(tuple(v // d for v in zc))
 
     @classmethod
     def from_o(cls, x: OInt) -> "Icosian":
@@ -256,6 +240,21 @@ def _zc_of_quat_strict(q: Quat) -> tuple[int, ...]:
 
 def _tau_times(zc) -> tuple[int, ...]:
     return zc[4:] + tuple(map(add, zc[:4], zc[4:]))  # tau (a + b tau) = b + (a + b) tau
+
+
+# The coordinates of 1, i, j and k, from 2 e3 = 1 + i + j + k and
+# 2 e4 = (1 - tau) + tau i + k, then those of tau, tau i, tau j and tau k.
+_ZC_1IJK = ((1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0),
+            (0, -1, 2, -2, -1, 1, 0, 0), (-1, 0, 0, 2, 1, -1, 0, 0))
+if any(Icosian(zc).quat() != Quat.of(*(int(c == r) for c in range(4))) for r, zc in enumerate(_ZC_1IJK)):
+    raise AssertionError("the coordinates of 1, i, j and k do not match BASIS")
+_ZC_1IJK += tuple(map(_tau_times, _ZC_1IJK))
+
+
+def _zc_of_o4(parts) -> tuple[int, ...]:
+    """The coordinates of sum (a_c + b_c tau) u_c, u = (1, i, j, k), for
+    parts = [(a_c, b_c)] integers: an icosian, since 1, i, j and k are."""
+    return _apply8([a for a, _ in parts] + [b for _, b in parts], _ZC_1IJK)
 
 
 # Structure tables (integer, built once) from e_i e_j, conj(e_i) and twist(e_i):
@@ -697,7 +696,3 @@ def _least_generator(zc, m: OInt) -> Icosian:
     scaled = (Icosian(zc).scale_o(tau_pow(j)).zc if j else zc for j in ties)
     return Icosian(min(_orbit_min(y, True) for y in scaled))
 
-
-def glcd_equal(d1: Icosian, d2: Icosian) -> bool:
-    """Equality as left divisors: d1*I == d2*I."""
-    return same_right_ideal(d1, d2)

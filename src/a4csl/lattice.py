@@ -1,10 +1,13 @@
 """The lattice L (the A4 root lattice scaled by 1/sqrt2) and its sublattices.
 
 L is spanned by four fixed twist-invariant icosians b1..b4; its Gram matrix
-is exactly half the A4 Cartan matrix.  All sublattices are stored in
-L-coordinates as canonical 4x4 integer HNFs, so lattice equality is HNF
-equality and every index is a diagonal product.  Each meet with L is read
-off one echelon form, after a change of coordinates taking L to 0 x Z^4.
+is exactly half the A4 Cartan matrix, read off the integer norm forms of I.
+All sublattices are stored in L-coordinates as canonical 4x4 integer HNFs,
+so lattice equality is HNF equality and every index is a diagonal product.
+Every L-coordinate comes from one integer change of coordinates _TO_L,
+unimodular on I, taking L to 0 x Z^4 (so I n QL = L); a rational
+quaternion is cleared of its denominator first.  Each meet with L is read
+off one echelon form under the same change of coordinates.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from math import lcm
 from operator import mul
 
 from .errors import DomainError
-from .field import KNum, gauss_jordan
-from .hnf import _lower_block, hnf_square, diagonal_product, intersect_rows, contains as hnf_contains
-from .icosian import ZB_ICO, Icosian, Rank8Module, _combine, _sparse, _split
-from .quaternion import Quat
+from .field import KNum
+from .hnf import _lower_block, hnf, hnf_square, diagonal_product, intersect_rows, contains as hnf_contains
+from .icosian import NORM_A_GRAM, NORM_B_GRAM, ZB_ICO, Icosian, _combine, _sparse, _split, _zc_of_o4
+from .quaternion import Quat, _cleared
+from .shortvec import gram_of_basis
 
 L_BASIS = (
     Quat.of(1, 0, 0, 0),
@@ -39,78 +43,42 @@ if any(b is None for b in B_ICO):
 B_ZC = tuple(b.zc for b in B_ICO)
 
 
-def inner_product_k(x: Quat, y: Quat) -> KNum:
-    """Componentwise bilinear form sum x_i y_i in K."""
-    out = KNum.of(0)
-    for xc, yc in zip(x.components(), y.components()):
-        out = out + xc * yc
-    return out
+# NORM_A_GRAM and NORM_B_GRAM give the a- and b-parts of tr(x conj(y)),
+# twice the Euclidean inner product.  It is rational on L: the b-part vanishes.
+GRAM2 = gram_of_basis(NORM_A_GRAM, B_ZC)  # the A4 Cartan matrix
+if any(map(any, gram_of_basis(NORM_B_GRAM, B_ZC))):
+    raise AssertionError("inner products on L must be rational")
+GRAM = tuple(tuple(Fraction(v, 2) for v in row) for row in GRAM2)
+_GRAM2_COLS = tuple(zip(*GRAM2))
 
-
-def inner_product(x: Quat, y: Quat) -> Fraction:
-    """Euclidean inner product; requires the K-value to be rational."""
-    v = inner_product_k(x, y)
-    if v.b != 0:
-        raise DomainError(f"inner product {v} is not rational")
-    return v.a
-
-
-GRAM = tuple(tuple(inner_product(bi, bj) for bj in L_BASIS) for bi in L_BASIS)
-
-
-def _inverse_and_det(mat):
-    n = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    det = gauss_jordan(aug, n)
-    return tuple(tuple(row[n:]) for row in aug), det
-
-
-GRAM_INV, GRAM_DET = _inverse_and_det(GRAM)
-
-# Integer inverse of the leading 4x4 block of B_ZC (unimodular by choice of
-# basis order), used for the fast integer coordinate path.
-_LEAD = [[B_ZC[i][j] for j in range(4)] for i in range(4)]
-_lead_inv, _lead_det = _inverse_and_det(_LEAD)
-if abs(_lead_det) != 1:
+# The integer inverse of the leading 4x4 block of B_ZC (unimodular by choice
+# of basis order): the right block of the HNF of [LEAD | 1].
+_LEAD_HNF = hnf([list(B_ZC[i][:4]) + [int(i == j) for j in range(4)] for i in range(4)])
+if [row[:4] for row in _LEAD_HNF] != [[int(i == j) for j in range(4)] for i in range(4)]:
     raise AssertionError("leading block of the L basis must be unimodular")
-_LEAD_INV = tuple(tuple(int(v) for v in row) for row in _lead_inv)
+_LEAD_INV = tuple(tuple(row[4:]) for row in _LEAD_HNF)
 
 # x -> (x[4:] - x[:4] C, x[:4] LEAD^-1) with C = LEAD^-1 B_ZC[:, 4:]: a change of
 # coordinates of determinant +-det LEAD^-1 = +-1 that takes v B_ZC to (0, v).
+# So x lies in QL iff its first four images vanish, and I n QL = L.
 _C = [[sum(_LEAD_INV[c][i] * B_ZC[i][4 + j] for i in range(4)) for j in range(4)] for c in range(4)]
 _TO_L = _sparse([[-v for v in _C[c]] + list(_LEAD_INV[c]) for c in range(4)] + [z.zc for z in ZB_ICO[:4]])
 
 
 def int_L_coords(x: Icosian) -> tuple[int, int, int, int] | None:
     """L-coordinates of an icosian lying in L, else None."""
-    zc = x.zc
-    v = [0, 0, 0, 0]
-    for c in range(4):
-        zcc = zc[c]
-        if zcc:
-            for i in range(4):
-                v[i] += zcc * _LEAD_INV[c][i]
-    for j in range(8):
-        if sum(v[i] * B_ZC[i][j] for i in range(4)) != zc[j]:
-            return None
-    return tuple(v)
-
-
-def _rational_parts(x: Quat) -> list[Fraction]:
-    """The eight rational coordinates (a- and b-parts of each component) of x."""
-    return [v for comp in x.components() for v in (comp.a, comp.b)]
-
-
-_MB = [_rational_parts(b) for b in L_BASIS]  # column j of the 8x4 system is b_j
+    y = _combine(x.zc, _TO_L, 8)
+    return None if any(y[:4]) else tuple(y[4:])
 
 
 def to_L_coords(x: Quat) -> tuple[Fraction, Fraction, Fraction, Fraction] | None:
     """Exact coordinates of x in the L basis, or None if x is outside the
-    rational span of L (equivalently, not twist-invariant)."""
-    a = [[col[r] for col in _MB] + [v] for r, v in enumerate(_rational_parts(x))]
-    if not gauss_jordan(a, 4) or any(a[r][4] for r in range(4, 8)):
-        return None
-    return tuple(a[r][4] for r in range(4))
+    rational span of L (equivalently, not twist-invariant).  With d the
+    common denominator of x, d x lies in o^4, hence in I, and in L iff x is
+    in QL."""
+    d, parts = _cleared(x)
+    v = int_L_coords(Icosian(_zc_of_o4(parts)))
+    return None if v is None else tuple(Fraction(c, d) for c in v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,21 +140,12 @@ class SublatticeL:
         return lat
 
 
-def hnf4(rows) -> SublatticeL:
-    return SublatticeL.from_rational_rows(rows)
-
-
 def intersect(a: SublatticeL, b: SublatticeL) -> SublatticeL:
     return SublatticeL.from_integer_rows(intersect_rows(a.hnf, b.hnf))
 
 
 def lattice_sum(a: SublatticeL, b: SublatticeL) -> SublatticeL:
     return SublatticeL.from_integer_rows(list(a.hnf) + list(b.hnf))
-
-
-def dual_L() -> tuple[tuple[Fraction, ...], ...]:
-    """The dual basis of L in L-coordinates (rows of the inverse Gram)."""
-    return GRAM_INV
 
 
 def _meet_from_block(rows) -> SublatticeL:
@@ -198,11 +157,10 @@ def _meet_from_block(rows) -> SublatticeL:
     return SublatticeL(tuple(map(tuple, block)))
 
 
-def module_to_L(mod) -> SublatticeL:
-    """M n L in L-coordinates, for M a Rank8Module or the Z-span of integer
-    generator rows (coordinates in I): the meet read off one HNF of the
-    rows under the change of coordinates _TO_L."""
-    rows = mod.rows if isinstance(mod, Rank8Module) else mod
+def module_to_L(rows) -> SublatticeL:
+    """M n L in L-coordinates, for M the Z-span of integer generator rows
+    (coordinates in I): the meet read off one HNF of the rows under the
+    change of coordinates _TO_L."""
     return _meet_from_block([_combine(r, _TO_L, 8) for r in rows])
 
 
@@ -243,10 +201,6 @@ def conjugation_matrix_L() -> tuple[tuple[int, ...], ...]:
             raise AssertionError("conjugation must preserve L")
         cols.append(coords)
     return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
-
-
-GRAM2 = tuple(tuple(int(2 * v) for v in row) for row in GRAM)  # the A4 Cartan matrix
-_GRAM2_COLS = tuple(zip(*GRAM2))
 
 
 def rows_preserve_gram(rows, s: int) -> bool:

@@ -49,6 +49,9 @@ def test_rot_parse_and_domain_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "rot", "(1,t,0,0)")
     assert code == 3 and "denominator" in err
+    for text in ("(*t,0,0,0)", "(1_0,0,0,0)"):
+        code, out, err = run(capsys, "rot", text)
+        assert code == 2 and out == "" and "Traceback" not in err
 
 
 def test_csl_command(capsys):

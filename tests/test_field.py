@@ -288,6 +288,23 @@ def test_text_roundtrip():
         parse_oint("1/2")
 
 
+@pytest.mark.parametrize("text", ["*t", "1+*t", "-*t", "2**t", "1+2**t", "*", "1_0", "1_0*t", "t_"])
+def test_parse_knum_refuses_a_bare_star_and_underscores(text):
+    """A "*" needs a nonempty coefficient before it, once per term, and "_"
+    is no digit (Fraction would read "1_0" as 10)."""
+    with pytest.raises(ParseError):
+        parse_knum(text)
+
+
+def test_parse_knum_keeps_decimals_exponents_and_repeated_signs():
+    assert parse_knum("1.5") == KNum.of(Fraction(3, 2))
+    assert parse_knum("1e3") == KNum.of(1000)
+    assert parse_knum("1+-t") == KNum(Fraction(1), Fraction(-1))
+    assert parse_knum("--1") == KNum.of(1)
+    assert parse_knum("2t") == parse_knum("2*t") == KNum(Fraction(0), Fraction(2))
+    assert parse_knum("1/2*t") == KNum(Fraction(0), Fraction(1, 2))
+
+
 _NUM = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
 _DEN = st.one_of(st.integers(-12, 12), st.integers(-(2**40), 2**40)).filter(bool)
 

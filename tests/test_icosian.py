@@ -2,6 +2,7 @@ import json
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import a4csl.icosian as icosian
 from a4csl.csl import rotation_of
 from a4csl.errors import DomainError
 from a4csl.counting import prime_class_reps
-from a4csl.field import OInt, SQRT5, TAU, lcm_o, sqrt_o, tau_pow, unit_normalize
+from a4csl.field import KNum, OInt, SQRT5, TAU, lcm_o, sqrt_o, tau_pow, unit_normalize
 from a4csl.icosian import (
     BASIS,
     NORM_A_GRAM,
@@ -38,7 +39,6 @@ from a4csl.icosian import (
     den,
     extension,
     glcd,
-    glcd_equal,
     is_admissible,
     is_primitive,
     is_unit,
@@ -53,6 +53,7 @@ from a4csl.icosian import (
 )
 from a4csl.quaternion import Quat, parse_quat
 from a4csl.shortvec import enumerate_form, eval_form, gram_of_basis
+from test_shortvec import gauss_jordan
 
 rng = random.Random(31337)
 
@@ -217,11 +218,11 @@ def test_right_ideal_examples():
 def test_glcd_examples():
     one = Icosian.from_int(1)
     d = glcd(R_ICO, OInt(1, 0))
-    assert glcd_equal(d, one)
+    assert same_right_ideal(d, one)
     beta = OInt(3, 1)
     u = rng.choice(unit_group())
     d2 = glcd(Icosian.from_o(beta) * u, beta)
-    assert glcd_equal(d2, Icosian.from_o(beta))
+    assert same_right_ideal(d2, Icosian.from_o(beta))
 
     d3 = glcd(R_ICO, OInt(5, 0))
     mod = right_ideal([R_ICO, Icosian.from_o(OInt(5, 0))])
@@ -249,11 +250,12 @@ def test_glcd_random_properties():
 
 
 def test_glcd_equal_examples():
+    """Equality of glcds as left divisors, d1 I == d2 I, is same_right_ideal."""
     d = glcd(R_ICO, OInt(5, 0))
     u = rng.choice(unit_group())
-    assert glcd_equal(d, d * u)
-    assert not glcd_equal(Icosian.from_int(1), R_ICO)
-    assert glcd_equal(Icosian.from_int(2), ZB_ICO[1].scale_o(OInt(2, 0)))
+    assert same_right_ideal(d, d * u)
+    assert not same_right_ideal(Icosian.from_int(1), R_ICO)
+    assert same_right_ideal(Icosian.from_int(2), ZB_ICO[1].scale_o(OInt(2, 0)))
 
 
 def test_rank8_module_sum():
@@ -489,6 +491,42 @@ def _dense_product(xc, yc):
 @given(_ZC, _ZC)
 def test_product_matches_dense_table_loop(zc, xc):
     assert (Icosian(zc) * Icosian(xc)).zc == _dense_product(zc, xc)
+
+
+def _from_quat_by_inverse(q):
+    """Icosian.from_quat the rational way: the o-coordinates of q through the
+    inverse, over K by Gauss-Jordan, of the 4x4 matrix with columns e_1..e_4."""
+    aug = [
+        [BASIS[j].components()[i] for j in range(4)] + [KNum.of(int(i == j)) for j in range(4)]
+        for i in range(4)
+    ]
+    gauss_jordan(aug, 4)
+    comps = q.components()
+    coords = [sum((aug[j][4 + i] * comps[i] for i in range(4)), KNum.of(0)) for j in range(4)]
+    if not all(c.is_integral() for c in coords):
+        return None
+    return Icosian.from_coords(tuple(c.to_oint() for c in coords))
+
+
+def test_from_quat_matches_the_rational_inverse():
+    """The integer route (o-coordinates of 1, i, j, k on the cleared
+    numerators) against the rational inverse, on quaternions with
+    denominators 1..6: icosians divided by d, icosian multiples of d divided
+    by d, and random (a + b tau) / d components."""
+    found = 0
+    for k in range(900):
+        d = rng.randint(1, 6)
+        if k % 3 == 2:
+            q = Quat(*(KNum(Fraction(rng.randint(-9, 9), d), Fraction(rng.randint(-9, 9), d)) for _ in range(4)))
+        else:
+            x = rand_icosian()
+            q = (x.scale_o(OInt(d, 0)) if k % 3 else x).quat().scale(Fraction(1, d))
+        ico = Icosian.from_quat(q)
+        assert ico == _from_quat_by_inverse(q)
+        if ico is not None:
+            found += 1
+            assert ico.quat() == q
+    assert 300 < found < 900
 
 
 def test_structure_tables_match_the_rational_derivation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import DomainError
-from a4csl.field import OInt
+from a4csl.field import KNum, OInt
 from a4csl.hnf import hnf, hnf_square
 from a4csl.icosian import (
     ZB_ICO,
@@ -23,22 +23,19 @@ from a4csl.lattice import (
     B_ZC,
     GRAM,
     GRAM2,
-    GRAM_DET,
     L_BASIS,
     SublatticeL,
     conjugation_matrix_L,
-    dual_L,
-    hnf4,
     int_L_coords,
     intersect,
-    inner_product,
     lattice_sum,
     module_to_L,
     phi_plus_image,
     to_L_coords,
 )
-from a4csl.quaternion import parse_quat, twist
+from a4csl.quaternion import Quat, parse_quat, twist
 from test_hnf import left_kernel
+from test_shortvec import gauss_jordan
 
 rng = random.Random(271828)
 
@@ -56,7 +53,6 @@ def test_gram_is_half_cartan():
         for j in range(4):
             assert GRAM[i][j] == Fraction(CARTAN_A4[i][j], 2)
     assert GRAM2 == CARTAN_A4
-    assert GRAM_DET == Fraction(5, 16)
 
 
 def test_basis_is_twist_invariant():
@@ -71,26 +67,70 @@ def test_to_L_coords_examples():
     assert to_L_coords(parse_quat("(0,0,1,0)")) is None  # twist moves it
 
 
+def _rational_parts(x):
+    """The eight rational coordinates (a- and b-parts of each component) of x."""
+    return [v for comp in x.components() for v in (comp.a, comp.b)]
+
+
+def _to_L_coords_by_elimination(x):
+    """The coordinates of x in the L basis by Gauss-Jordan on the 8x5
+    rational system [b_1 .. b_4 | x], or None if it has no solution."""
+    cols = [_rational_parts(b) for b in L_BASIS]
+    a = [[col[r] for col in cols] + [v] for r, v in enumerate(_rational_parts(x))]
+    if not gauss_jordan(a, 4) or any(a[r][4] for r in range(4, 8)):
+        return None
+    return tuple(a[r][4] for r in range(4))
+
+
+def _random_quat(den):
+    """A quaternion with components (a + b tau) / den, or, half the time, a
+    twist-invariant one: phi_plus of such a quaternion."""
+    q = Quat(*(KNum(Fraction(rng.randint(-6, 6), den), Fraction(rng.randint(-6, 6), den)) for _ in range(4)))
+    return q + twist(q) if rng.random() < 0.5 else q
+
+
+def test_to_L_coords_matches_the_rational_elimination():
+    """The route through _TO_L on d x against the 8x5 rational solve, on
+    quaternions with denominators 1..6, in QL and outside it."""
+    outcomes = set()
+    for _ in range(600):
+        x = _random_quat(rng.randint(1, 6))
+        coords = to_L_coords(x)
+        assert coords == _to_L_coords_by_elimination(x)
+        outcomes.add(coords is None)
+    assert outcomes == {True, False}
+
+
 def test_int_L_coords_matches_rational_path():
-    for _ in range(300):
+    """int_L_coords against the rational solve of the icosian's quaternion,
+    on icosians and their phi_plus: None exactly when x is outside QL, since
+    an icosian in QL lies in L (I n QL = L)."""
+    found = 0
+    for _ in range(600):
         x = Icosian(tuple(rng.randint(-4, 4) for _ in range(8)))
+        if rng.random() < 0.5:
+            x = x.phi_plus()
         fast = int_L_coords(x)
-        slow = to_L_coords(x.quat())
+        slow = _to_L_coords_by_elimination(x.quat())
         if fast is None:
-            assert slow is None or any(c.denominator != 1 for c in slow)
+            assert slow is None
         else:
+            found += 1
             assert slow == tuple(Fraction(c) for c in fast)
+    assert 0 < found < 600
 
 
 def test_hnf4_examples():
-    ident = hnf4([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    """The square HNF of rational rows with integer entries
+    (SublatticeL.from_rational_rows); rank < 4 and fractions raise."""
+    ident = SublatticeL.from_rational_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert ident.index == 1
-    twice = hnf4([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    twice = SublatticeL.from_rational_rows([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
     assert twice.index == 16
     with pytest.raises(DomainError):
-        hnf4([[1, 0, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+        SublatticeL.from_rational_rows([[1, 0, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     with pytest.raises(DomainError):
-        hnf4([[Fraction(1, 2), 0, 0, 0]] * 4)
+        SublatticeL.from_rational_rows([[Fraction(1, 2), 0, 0, 0]] * 4)
 
 
 def test_printed_basis_has_index_5():
@@ -107,7 +147,7 @@ def test_printed_basis_has_index_5():
         coords = to_L_coords(q)
         assert coords is not None and all(c.denominator == 1 for c in coords)
         rows.append(coords)
-    lat = hnf4(rows)
+    lat = SublatticeL.from_rational_rows(rows)
     assert lat.index == 5
 
 
@@ -155,19 +195,11 @@ def test_meet_join_containments_and_index_identity():
         assert meet.index * join.index == a.index * b.index
 
 
-def test_dual_basis():
-    dual = dual_L()
-    for i in range(4):
-        for j in range(4):
-            ip = sum(dual[i][k] * GRAM[k][j] for k in range(4))
-            assert ip == (1 if i == j else 0)
-
-
 def test_module_to_L_examples():
     ident = right_ideal([Icosian.from_int(1)])
-    assert module_to_L(ident).hnf == SublatticeL.full().hnf
+    assert module_to_L(ident.rows).hnf == SublatticeL.full().hnf
     doubled = right_ideal([Icosian.from_int(2)])
-    assert module_to_L(doubled).hnf == SublatticeL.full().scaled(2).hnf
+    assert module_to_L(doubled.rows).hnf == SublatticeL.full().scaled(2).hnf
 
 
 def _module_to_L_by_kernel(rows):
@@ -194,7 +226,7 @@ def _random_icosian():
 
 
 def test_module_to_L_matches_the_kernel_route():
-    """On right ideals qI (as Rank8Modules and as their generator rows), on
+    """On right ideals qI (as HNF rows and as their generator rows), on
     the two-sided modules q I + I twist(q), for q random and for the
     extensions q_alpha of the csl_ideal_form, and on random full-rank 8-row
     modules, the meet read off one echelon form is the kernel route's."""
@@ -202,7 +234,7 @@ def test_module_to_L_matches_the_kernel_route():
     for _ in range(40):
         q = _random_icosian()
         ideal = right_ideal([q])
-        assert module_to_L(ideal).hnf == _module_to_L_by_kernel(ideal.rows)
+        assert module_to_L(ideal.rows).hnf == _module_to_L_by_kernel(ideal.rows)
         assert module_to_L(_left_rows(q.zc)).hnf == _module_to_L_by_kernel(ideal.rows)
         two_sided_generators.append(q)
     while len(two_sided_generators) < 50:
@@ -236,7 +268,7 @@ def test_phi_plus_image_examples():
     q = to_icosian(parse_quat("(1,2,0,0)"))
     lat = phi_plus_image(q)
     assert lat.index == 5
-    printed = hnf4(
+    printed = SublatticeL.from_rational_rows(
         [
             to_L_coords(parse_quat(t))
             for t in (
@@ -299,13 +331,6 @@ def test_serialization_refuses_bad_index():
     data["index"] = 5
     with pytest.raises(DomainError):
         SublatticeL.from_json(data)
-
-
-def test_inner_products_of_L_vectors_are_rational():
-    for _ in range(100):
-        x = Icosian(tuple(rng.randint(-3, 3) for _ in range(8))).phi_plus()
-        y = Icosian(tuple(rng.randint(-3, 3) for _ in range(8))).phi_plus()
-        inner_product(x.quat(), y.quat())  # must not raise
 
 
 def test_conjugation_matrix():

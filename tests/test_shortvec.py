@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import BudgetError, DomainError
-from a4csl.field import OInt, gauss_jordan
+from a4csl.field import OInt
 from a4csl.icosian import NORM_A_GRAM, TRACE_GRAM, Icosian, right_ideal
 from a4csl.shortvec import (
     NodeBudget,
@@ -19,6 +19,35 @@ from a4csl.shortvec import (
 )
 
 rng = random.Random(4181)
+
+
+def gauss_jordan(rows, ncols: int):
+    """Bring rows (lists of Fraction or KNum) to reduced row echelon form in
+    their first ncols columns, in place; later columns (an identity block,
+    right-hand sides) ride along.  Returns the signed product of the pivots:
+    the determinant of a square matrix, 0 iff some column lacks a pivot.
+    The rational oracle of _box and of the integer changes of coordinates
+    (Icosian.from_quat, to_L_coords, int_L_coords).
+    """
+    det = 1
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        p = rows[r][col]
+        det = det * p
+        rows[r] = [v / p for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col]
+                rows[i] = [v - f * w for v, w in zip(row, rows[r])]
+        r += 1
+    return det
 
 
 def _box(gram, target):
