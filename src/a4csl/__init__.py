@@ -18,7 +18,7 @@ from .field import (
     sqrt_o,
     unit_normalize,
 )
-from .quaternion import Quat, format_quat, parse_quat, phi_plus, twist
+from .quaternion import Quat, format_quat, parse_quat
 from .icosian import (
     Icosian,
     Rank8Module,

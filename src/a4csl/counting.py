@@ -458,18 +458,12 @@ def _class_csls(n: int, reps: list[Icosian], walks):
         yield lat, (key, w)
 
 
-def census(
-    n: int,
-    *,
-    budget: NodeBudget | None = None,
-    strict: bool = True,
-    memo: dict | None = None,
-) -> SigmaCensus:
+def census(n: int, *, budget: NodeBudget | None = None, memo: dict | None = None) -> SigmaCensus:
     """Enumerate index-n rotations, count distinct CSLs, compare with f(n)
     and the criterion partition with the CSL HNF partition.
 
-    strict=True raises on a count mismatch (the counting theorem is exact);
-    memo is passed on to enumerate_rotations.
+    Raises on a count mismatch, since the counting theorem is exact; memo
+    is passed on to enumerate_rotations.
     """
     memo = {} if memo is None else memo
     reps = enumerate_rotations(n, budget=budget, memo=memo)
@@ -478,27 +472,24 @@ def census(
         if by_key.setdefault(key, lat.hnf) != lat.hnf or by_hnf.setdefault(lat.hnf, key) != key:
             raise AssertionError("criterion dedup disagrees with HNF dedup")
     result = SigmaCensus(n, rotation_classes=len(reps), csl_count=len(by_hnf), f_formula=f(n))
-    if strict and not result.match:
+    if not result.match:
         raise AssertionError(
             f"census({n}): {result.csl_count} CSLs but f({n}) = {result.f_formula}"
         )
     return result
 
 
-def census_table(
-    nmax: int,
-    *,
-    budget: NodeBudget | None = None,
-    strict: bool = True,
-) -> tuple[list[SigmaCensus], bool]:
+def census_table(nmax: int, *, budget: NodeBudget | None = None) -> tuple[list[SigmaCensus], bool]:
     """Censuses for n = 1..nmax.  Returns (rows, truncated); on budget
     exhaustion the table is cut short and truncated is True."""
+    if nmax < 1:
+        raise DomainError("nmax must be >= 1")
     rows = []
     truncated = False
     memo: dict = {}
     for n in range(1, nmax + 1):
         try:
-            rows.append(census(n, budget=budget, strict=strict, memo=memo))
+            rows.append(census(n, budget=budget, memo=memo))
         except BudgetError:
             truncated = True
             break

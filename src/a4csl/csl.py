@@ -26,7 +26,6 @@ q to its primitive part (_balanced_part).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -59,8 +58,6 @@ from .lattice import (
     phi_plus_image,
     rows_preserve_gram,
 )
-
-log = logging.getLogger("a4csl")
 
 
 @dataclass(frozen=True)
@@ -248,7 +245,9 @@ def equal_csl(p1: Icosian, p2: Icosian) -> bool:
     else:
         ideals_equal = right_ideal([p1, b1]).rows == right_ideal([p2, b2]).rows
     if n1 != n2 and ideals_equal:
-        log.debug(
+        import logging  # only here: importing it costs every start of the program
+
+        logging.getLogger("a4csl").debug(
             "norm readings differ: nr(p1)=%s, nr(p2)=%s are associates, not equal",
             n1,
             n2,

@@ -7,8 +7,12 @@ The o-module basis is the classical one:
 
 and the fixed Z-basis zb_0..zb_7 = (e1..e4, tau*e1..tau*e4) in that order.
 An Icosian stores its integer coordinate 8-vector with respect to that
-Z-basis; multiplication, twist and conjugation act through precomputed
-integer structure tables, so bulk arithmetic never touches rationals.
+Z-basis; the product, conjugation, twist, phi_plus and the reduced norm
+act through integer structure tables, so the algebra never touches rationals.
+Every table is derived on integers from one literal, _TWO_E (the
+components of 2 e_i), by an integer Hamilton product on pairs (a, b) for
+a + b tau, and each division in a derivation is checked.  quat() gives
+the text form, half of an integer sum over _TWO_E.
 A quaternion q enters through from_quat on integers: q = y/d with y in
 o^4, an icosian since 1, i, j and k are, and q lies in I iff d divides the
 coordinates of y.
@@ -62,16 +66,43 @@ from .hnf import diagonal_product, hnf_square, contains as hnf_contains
 from .quaternion import Quat, _cleared
 from .shortvec import eval_form
 
-_H = Fraction(1, 2)
-
-BASIS = (
-    Quat.of(1, 0, 0, 0),
-    Quat.of(0, 1, 0, 0),
-    Quat(KNum(_H, 0), KNum(_H, 0), KNum(_H, 0), KNum(_H, 0)),
-    Quat(KNum(_H, -_H), KNum(0, _H), KNum(0, 0), KNum(_H, 0)),
+# The quaternion components of 2 e_1..2 e_4 as (a, b) pairs for a + b tau:
+# the one literal every structure table below is derived from.
+_TWO_E = (
+    ((2, 0), (0, 0), (0, 0), (0, 0)),
+    ((0, 0), (2, 0), (0, 0), (0, 0)),
+    ((1, 0), (1, 0), (1, 0), (1, 0)),
+    ((1, -1), (0, 1), (0, 0), (1, 0)),
 )
-_TAU_K = KNum(Fraction(0), Fraction(1))
-ZBASIS_QUATS = BASIS + tuple(b.scale(_TAU_K) for b in BASIS)
+
+# Component r of p * q is the sum of sign * p_i * q_j over the terms of row r.
+_HAMILTON = (
+    ((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+    ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+    ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
+    ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)),
+)
+
+
+def _omul(x, y) -> tuple[int, int]:
+    """(p + q tau)(r + s tau) as an (a, b) pair, tau^2 = tau + 1."""
+    (p, q), (r, s) = x, y
+    qs = q * s
+    return p * r + qs, p * s + q * r + qs
+
+
+def _hamilton(x, y) -> list[tuple[int, int]]:
+    """Hamilton's product of two quaternions with components in o, given
+    and returned as four (a, b) pairs."""
+    out = []
+    for terms in _HAMILTON:
+        ra = rb = 0
+        for i, j, sign in terms:
+            a, b = _omul(x[i], y[j])
+            ra += sign * a
+            rb += sign * b
+        out.append((ra, rb))
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,10 +121,8 @@ class Icosian:
         """q as an icosian, or None if q is not in I: q = d^-1 y with y in
         o^4, which lies in I, and q is in I iff d divides y's coordinates."""
         d, parts = _cleared(q)
-        zc = _zc_of_o4(parts)
-        if any(v % d for v in zc):
-            return None
-        return cls(tuple(v // d for v in zc))
+        zc = _zc_over(parts, d)
+        return None if zc is None else cls(zc)
 
     @classmethod
     def from_o(cls, x: OInt) -> "Icosian":
@@ -108,11 +137,15 @@ class Icosian:
         return (OInt(z[0], z[4]), OInt(z[1], z[5]), OInt(z[2], z[6]), OInt(z[3], z[7]))
 
     def quat(self) -> Quat:
-        out = Quat.of(0)
-        for x, zb in zip(self.zc, ZBASIS_QUATS):
-            if x:
-                out = out + zb.scale(x)
-        return out
+        """sum c_i e_i over the o-coordinates c_i, as half of sum c_i (2 e_i)."""
+        z, two = self.zc, [[0, 0] for _ in range(4)]
+        for i, e in enumerate(_TWO_E):
+            if z[i] or z[i + 4]:
+                for part, x in zip(two, e):
+                    a, b = _omul((z[i], z[i + 4]), x)
+                    part[0] += a
+                    part[1] += b
+        return Quat(*(KNum(Fraction(a, 2), Fraction(b, 2)) for a, b in two))
 
     def __add__(self, other: "Icosian") -> "Icosian":
         return Icosian(tuple(a + b for a, b in zip(self.zc, other.zc)))
@@ -231,13 +264,6 @@ def _apply8(x, mat) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _zc_of_quat_strict(q: Quat) -> tuple[int, ...]:
-    ico = Icosian.from_quat(q)
-    if ico is None:
-        raise AssertionError(f"expected an icosian, got {q}")
-    return ico.zc
-
-
 def _tau_times(zc) -> tuple[int, ...]:
     return zc[4:] + tuple(map(add, zc[:4], zc[4:]))  # tau (a + b tau) = b + (a + b) tau
 
@@ -246,8 +272,6 @@ def _tau_times(zc) -> tuple[int, ...]:
 # 2 e4 = (1 - tau) + tau i + k, then those of tau, tau i, tau j and tau k.
 _ZC_1IJK = ((1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0),
             (0, -1, 2, -2, -1, 1, 0, 0), (-1, 0, 0, 2, 1, -1, 0, 0))
-if any(Icosian(zc).quat() != Quat.of(*(int(c == r) for c in range(4))) for r, zc in enumerate(_ZC_1IJK)):
-    raise AssertionError("the coordinates of 1, i, j and k do not match BASIS")
 _ZC_1IJK += tuple(map(_tau_times, _ZC_1IJK))
 
 
@@ -257,14 +281,35 @@ def _zc_of_o4(parts) -> tuple[int, ...]:
     return _apply8([a for a, _ in parts] + [b for _, b in parts], _ZC_1IJK)
 
 
-# Structure tables (integer, built once) from e_i e_j, conj(e_i) and twist(e_i):
+def _zc_over(parts, d: int) -> tuple[int, ...] | None:
+    """The coordinates of _zc_of_o4(parts) / d, or None if they are not integers."""
+    zc = _zc_of_o4(parts)
+    return None if any(v % d for v in zc) else tuple(v // d for v in zc)
+
+
+def _table_zc(parts, d: int) -> tuple[int, ...]:
+    """_zc_over(parts, d) for a table entry, which must be an icosian."""
+    zc = _zc_over(parts, d)
+    if zc is None:
+        raise AssertionError(f"{parts} / {d} is not an icosian")
+    return zc
+
+
+if any(_zc_of_o4(e) != tuple(2 * (k == i) for k in range(8)) for i, e in enumerate(_TWO_E)):
+    raise AssertionError("the coordinates of 1, i, j and k must take 2 e_i to 2 zb_i")
+if any(tuple(map(sum, zip(*(_omul(x, x) for x in e)))) != (4, 0) for e in _TWO_E):
+    raise AssertionError("the o-basis of I must consist of units: nr(2 e_i) = 4")
+
+
+# Structure tables (integer, built once) from 2e_i 2e_j = 4 e_i e_j, 2 conj(e_i)
+# and 2 twist(e_i) = (a', b', d', c') with (x + y tau)' = (x + y) - y tau:
 # zb_(i+4) = tau e_i, the product is o-linear and twist(tau x) = (1 - tau) twist(x).
-_MUL = [[_zc_of_quat_strict(x * y) for y in BASIS] for x in BASIS]
+_MUL = [[_table_zc(_hamilton(x, y), 4) for y in _TWO_E] for x in _TWO_E]
 _MUL = [[*row, *map(_tau_times, row)] for row in _MUL]
 _MUL = tuple(map(tuple, _MUL + [list(map(_tau_times, row)) for row in _MUL]))
-_CJ8 = tuple(_zc_of_quat_strict(b.conj()) for b in BASIS)
+_CJ8 = tuple(_table_zc([e[0]] + [(-a, -b) for a, b in e[1:]], 2) for e in _TWO_E)
 _CJ8 += tuple(map(_tau_times, _CJ8))
-_TW8 = tuple(_zc_of_quat_strict(b.twist()) for b in BASIS)
+_TW8 = tuple(_table_zc([(x + y, -y) for x, y in (e[0], e[1], e[3], e[2])], 2) for e in _TWO_E)
 _TW8 += tuple(tuple(map(sub, zc, _tau_times(zc))) for zc in _TW8)
 
 
@@ -306,9 +351,7 @@ def _right_rows(zc) -> list[tuple[int, ...]]:
     return _split(_combine(zc, _RIGHT, 64), 8)
 
 
-if any(b.nr() != KNum.of(1) for b in BASIS):
-    raise AssertionError("the o-basis of I must consist of units")
-_TR4 = tuple(b.tr().to_oint() for b in BASIS)
+_TR4 = tuple(OInt(*e[0]) for e in _TWO_E)  # tr(e_i) = 2 Re(e_i)
 
 ZB_ICO = tuple(Icosian(tuple(int(i == j) for j in range(8))) for i in range(8))
 

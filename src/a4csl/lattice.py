@@ -19,28 +19,22 @@ from math import lcm
 from operator import mul
 
 from .errors import DomainError
-from .field import KNum
 from .hnf import _lower_block, hnf, hnf_square, diagonal_product, intersect_rows, contains as hnf_contains
-from .icosian import NORM_A_GRAM, NORM_B_GRAM, ZB_ICO, Icosian, _combine, _sparse, _split, _zc_of_o4
+from .icosian import NORM_A_GRAM, NORM_B_GRAM, ZB_ICO, Icosian, _combine, _sparse, _split, _table_zc, _zc_of_o4
 from .quaternion import Quat, _cleared
 from .shortvec import gram_of_basis
 
-L_BASIS = (
-    Quat.of(1, 0, 0, 0),
-    Quat(KNum(Fraction(-1, 2), 0), KNum(Fraction(1, 2), 0), KNum(Fraction(1, 2), 0), KNum(Fraction(1, 2), 0)),
-    Quat.of(0, -1, 0, 0),
-    Quat(
-        KNum(0, 0),
-        KNum(Fraction(1, 2), 0),
-        KNum(Fraction(-1, 2), Fraction(1, 2)),
-        KNum(0, Fraction(-1, 2)),
-    ),
+# The quaternion components of 2 b_1..2 b_4 as (a, b) pairs for a + b tau:
+# b1 = 1, b2 = (-1 + i + j + k)/2, b3 = -i, b4 = (i + (tau - 1) j - tau k)/2.
+_TWO_B = (
+    ((2, 0), (0, 0), (0, 0), (0, 0)),
+    ((-1, 0), (1, 0), (1, 0), (1, 0)),
+    ((0, 0), (-2, 0), (0, 0), (0, 0)),
+    ((0, 0), (1, 0), (-1, 1), (0, -1)),
 )
-
-B_ICO = tuple(Icosian.from_quat(b) for b in L_BASIS)
-if any(b is None for b in B_ICO):
-    raise AssertionError("L basis must lie in I")
-B_ZC = tuple(b.zc for b in B_ICO)
+B_ZC = tuple(_table_zc(b, 2) for b in _TWO_B)
+B_ICO = tuple(map(Icosian, B_ZC))
+L_BASIS = tuple(b.quat() for b in B_ICO)
 
 
 # NORM_A_GRAM and NORM_B_GRAM give the a- and b-parts of tr(x conj(y)),

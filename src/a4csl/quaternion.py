@@ -1,30 +1,20 @@
-"""The quaternion algebra H(K) over K = Q(sqrt5).
+"""The text form of quaternions over K = Q(sqrt5).
 
-Quaternions q = (a, b, c, d) = a + ib + jc + kd with Hamilton's relations
-i^2 = j^2 = k^2 = ijk = -1.  Besides the usual conjugation q -> q.conj()
-the algebra carries the twist map q -> (a', b', d', c') (algebraic
-conjugation of the coefficients combined with a j/k swap), an involutive
-anti-automorphism.  phi_plus(x) = x + twist(x) projects onto the
-twist-invariant subspace.
+A Quat (a, b, c, d) stands for a + ib + jc + kd with components in K.  It
+is what the command line parses and prints, and nothing more: the algebra
+runs on icosians, whose product, conjugation, twist, phi_plus and reduced
+norm act through integer structure tables (see icosian).  A Quat enters
+that algebra through Icosian.from_quat and _cleared, which writes its
+components over one common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, ParseError
+from .errors import ParseError
 from .field import KNum, format_knum, parse_knum
-
-
-# Component r of p * q is the sum of sign * p_i * q_j over the terms of row r.
-_HAMILTON = (
-    ((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
-    ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
-    ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
-    ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)),
-)
 
 
 def _cleared(q: "Quat") -> tuple[int, list[tuple[int, int]]]:
@@ -53,97 +43,8 @@ class Quat:
     def components(self) -> tuple[KNum, KNum, KNum, KNum]:
         return (self.a, self.b, self.c, self.d)
 
-    def __add__(self, other: "Quat") -> "Quat":
-        return Quat(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other: "Quat") -> "Quat":
-        return Quat(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
-    def __neg__(self) -> "Quat":
-        return Quat(-self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, other: "Quat") -> "Quat":
-        """Hamilton's product on integers: each operand is cleared to one
-        common denominator, and only the 8 result coefficients are Fractions."""
-        if not isinstance(other, Quat):
-            return NotImplemented
-        den1, x = _cleared(self)
-        den2, y = _cleared(other)
-        den = den1 * den2
-        out = []
-        for terms in _HAMILTON:
-            ra = rb = 0
-            for i, j, sign in terms:
-                (p, q), (r, s) = x[i], y[j]
-                qs = q * s  # (p + q tau)(r + s tau), tau^2 = tau + 1
-                ra += sign * (p * r + qs)
-                rb += sign * (p * s + q * r + qs)
-            out.append(KNum(Fraction(ra, den), Fraction(rb, den)))
-        return Quat(*out)
-
-    def scale(self, s) -> "Quat":
-        s = KNum.of(s)
-        return Quat(self.a * s, self.b * s, self.c * s, self.d * s)
-
-    def conj(self) -> "Quat":
-        return Quat(self.a, -self.b, -self.c, -self.d)
-
-    def nr(self) -> KNum:
-        """Reduced norm q * q.conj() = a^2 + b^2 + c^2 + d^2."""
-        a, b, c, d = self.components()
-        return a * a + b * b + c * c + d * d
-
-    def tr(self) -> KNum:
-        """Reduced trace q + q.conj() = 2a."""
-        return self.a * 2
-
-    def twist(self) -> "Quat":
-        return Quat(self.a.conj(), self.b.conj(), self.d.conj(), self.c.conj())
-
-    def inverse(self) -> "Quat":
-        n = self.nr()
-        if n.is_zero():
-            raise DomainError("zero quaternion has no inverse")
-        return self.conj().scale(n.inverse())
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.components())
-
     def __str__(self) -> str:
         return format_quat(self)
-
-
-ZERO_Q = Quat.of(0)
-ONE_Q = Quat.of(1)
-
-
-def conj_q(q: Quat) -> Quat:
-    return q.conj()
-
-
-def nr(q: Quat) -> KNum:
-    return q.nr()
-
-
-def tr(q: Quat) -> KNum:
-    return q.tr()
-
-
-def twist(q: Quat) -> Quat:
-    return q.twist()
-
-
-def phi_plus(x: Quat) -> Quat:
-    """x + twist(x); the image is pointwise twist-invariant."""
-    return x + x.twist()
-
-
-def mul(p: Quat, q: Quat) -> Quat:
-    return p * q
-
-
-def inverse(q: Quat) -> Quat:
-    return q.inverse()
 
 
 def format_quat(q: Quat) -> str:

@@ -25,7 +25,8 @@ from a4csl.csl import (
 from a4csl.field import KNum, OInt, abs_norm, lcm_o, unit_normalize
 from a4csl.icosian import Icosian, ZB_ICO, to_icosian, unit_group
 from a4csl.lattice import GRAM, SublatticeL, to_L_coords
-from a4csl.quaternion import Quat, parse_quat, phi_plus, twist
+from a4csl.quaternion import Quat, parse_quat
+from test_quaternion import mul, phi_plus, twist
 
 NMAX_CENSUS = 20
 NMAX_TRIPLE = 25
@@ -203,7 +204,7 @@ def test_criterion_7_structural_invariants():
     twist_ok = True
     for _ in range(10_000):
         p, q = rand_quat(), rand_quat()
-        if twist(twist(p)) != p or twist(p * q) != twist(q) * twist(p):
+        if twist(twist(p)) != p or twist(mul(p, q)) != mul(twist(q), twist(p)):
             twist_ok = False
             break
         y = phi_plus(p)
@@ -211,7 +212,27 @@ def test_criterion_7_structural_invariants():
             twist_ok = False
             break
 
-    basis_twist_ok = all(zb.twist().quat() == zb.quat().twist() for zb in ZB_ICO)
+    def rand_icosian():
+        return Icosian(tuple(rng.randint(-9, 9) for _ in range(8)))
+
+    icosian_ok = True
+    for _ in range(10_000):
+        x, y = rand_icosian(), rand_icosian()
+        xy, xt, xc, n, f = x * y, x.twist(), x.conj(), x.nr(), x.phi_plus()
+        if not (
+            xy.twist() == y.twist() * xt
+            and xy.conj() == y.conj() * xc
+            and xt.twist() == x
+            and xc.conj() == x
+            and x * xc == Icosian.from_o(n)
+            and xy.nr() == n * y.nr()
+            and xt.nr() == n.conj()
+            and f.twist() == f
+        ):
+            icosian_ok = False
+            break
+
+    basis_twist_ok = all(zb.twist().quat() == twist(zb.quat()) for zb in ZB_ICO)
 
     units = unit_group()
     unit_keys = {u.zc for u in units}
@@ -225,11 +246,12 @@ def test_criterion_7_structural_invariants():
             break
 
     elapsed = time.time() - t0
-    ok = gram_ok and twist_ok and basis_twist_ok and units_ok and elapsed < 10.0
+    ok = gram_ok and twist_ok and icosian_ok and basis_twist_ok and units_ok and elapsed < 10.0
     report(
         7,
         ok,
-        f"Gram = Cartan(A4)/2, twist laws on 10^4 samples, stable basis twist, "
+        f"Gram = Cartan(A4)/2, twist laws on 10^4 rational samples and the "
+        f"integer algebra laws on 10^4 icosian pairs, stable basis twist, "
         f"120 closed units ({elapsed:.1f}s)",
     )
 

@@ -121,6 +121,13 @@ def test_census_budget_exceeded(capsys):
         assert "# truncated" in out
 
 
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_census_without_rows_is_domain_error(capsys, nmax):
+    """An empty census table is refused like enumerate 0 and dirichlet 0."""
+    code, out, err = run(capsys, "census", "--nmax", nmax)
+    assert code == 3 and out == "" and "Traceback" not in err
+
+
 def test_census_threads_byte_identical(capsys):
     _, out1, _ = run(capsys, "census", "--nmax", "6")
     _, out2, _ = run(capsys, "--threads", "4", "census", "--nmax", "6")

@@ -1,7 +1,11 @@
 import logging
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +253,16 @@ def test_equal_csl_diagnostic_on_associate_norms(caplog):
     with caplog.at_level(logging.DEBUG, logger="a4csl"):
         assert equal_csl(R_ICO, q_alpha)
     assert any("norm readings differ" in m for m in caplog.messages)
+
+
+def test_import_leaves_logging_unloaded():
+    """equal_csl imports logging only when it logs: a fresh start of the
+    package and its command line does not load it."""
+    src = str(Path(csl.__file__).resolve().parents[1])
+    code = "import sys, a4csl, a4csl.cli; print('logging' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_sufficient_condition():

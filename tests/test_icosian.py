@@ -15,19 +15,19 @@ from a4csl.errors import DomainError
 from a4csl.counting import prime_class_reps
 from a4csl.field import KNum, OInt, SQRT5, TAU, lcm_o, sqrt_o, tau_pow, unit_normalize
 from a4csl.icosian import (
-    BASIS,
     NORM_A_GRAM,
     TRACE_GRAM,
     Icosian,
     Rank8Module,
     ZB_ICO,
-    ZBASIS_QUATS,
     _CJ8,
     _E8_T,
     _E8_U,
     _MUL,
+    _TR4,
     _TRG8,
     _TW8,
+    _TWO_E,
     _apply8,
     _balance,
     _content_norm,
@@ -53,12 +53,24 @@ from a4csl.icosian import (
 )
 from a4csl.quaternion import Quat, parse_quat
 from a4csl.shortvec import enumerate_form, eval_form, gram_of_basis
+from test_quaternion import add, conj, inverse, mul, nr, scale, tr, twist
 from test_shortvec import gauss_jordan
 
 rng = random.Random(31337)
 
 R_ICO = to_icosian(parse_quat("(t,2*t,0,0)"))
 S_ICO = to_icosian(parse_quat("(1+t,t,t,1)"))
+
+# The o-basis e_1..e_4 of I over K, written out apart from icosian._TWO_E,
+# and the Z-basis (e_1..e_4, tau e_1..tau e_4): the rational oracle's basis.
+_H = Fraction(1, 2)
+BASIS = (
+    Quat.of(1, 0, 0, 0),
+    Quat.of(0, 1, 0, 0),
+    Quat.of(_H, _H, _H, _H),
+    Quat(KNum(_H, -_H), KNum(0, _H), KNum(0, 0), KNum(_H, 0)),
+)
+ZBASIS_QUATS = BASIS + tuple(scale(b, KNum(0, 1)) for b in BASIS)
 
 
 def rand_icosian(span=3):
@@ -85,22 +97,22 @@ def test_icosian_ring_closure_and_integrality():
     for i in range(8):
         for j in range(8):
             prod = ZB_ICO[i] * ZB_ICO[j]
-            assert to_icosian(ZB_ICO[i].quat() * ZB_ICO[j].quat()) == prod
+            assert to_icosian(mul(ZB_ICO[i].quat(), ZB_ICO[j].quat())) == prod
     for _ in range(200):
         x, y = rand_icosian(), rand_icosian()
-        assert (x * y).quat() == x.quat() * y.quat()
+        assert (x * y).quat() == mul(x.quat(), y.quat())
         n = x.nr()
-        assert n.to_knum() == x.quat().nr()  # nr lands in o
-        assert x.tr_q().to_knum() == x.quat().tr()
+        assert n.to_knum() == nr(x.quat())  # nr lands in o
+        assert x.tr_q().to_knum() == tr(x.quat())
 
 
 def test_twist_stability():
     # twist maps the ring into itself (the basis images are integral)
     for zb in ZB_ICO:
-        assert to_icosian(zb.quat().twist()) == zb.twist()
+        assert to_icosian(twist(zb.quat())) == zb.twist()
     for _ in range(200):
         x = rand_icosian()
-        assert x.twist().quat() == x.quat().twist()
+        assert x.twist().quat() == twist(x.quat())
         assert x.twist().twist() == x
 
 
@@ -180,8 +192,8 @@ def test_unit_group_structure():
     sample = rng.sample(units, 20)
     for u in sample:
         assert u.nr() == OInt(1, 0)
-        assert (u.quat().inverse()) == to_icosian(u.quat().inverse()).quat()
-        assert to_icosian(u.quat().inverse()).zc in keys
+        assert inverse(u.quat()) == to_icosian(inverse(u.quat())).quat()
+        assert to_icosian(inverse(u.quat())).zc in keys
         for v in rng.sample(units, 10):
             assert (u * v).zc in keys
 
@@ -276,7 +288,7 @@ def test_module_json():
 
 def _inverse_route(d, x):
     """d^-1 x through the rational quaternion inverse: the icosian, or None."""
-    return to_icosian(d.quat().inverse() * x.quat())
+    return to_icosian(mul(inverse(d.quat()), x.quat()))
 
 
 def test_integer_left_division_matches_quaternion_inverse():
@@ -520,7 +532,7 @@ def test_from_quat_matches_the_rational_inverse():
             q = Quat(*(KNum(Fraction(rng.randint(-9, 9), d), Fraction(rng.randint(-9, 9), d)) for _ in range(4)))
         else:
             x = rand_icosian()
-            q = (x.scale_o(OInt(d, 0)) if k % 3 else x).quat().scale(Fraction(1, d))
+            q = scale((x.scale_o(OInt(d, 0)) if k % 3 else x).quat(), Fraction(1, d))
         ico = Icosian.from_quat(q)
         assert ico == _from_quat_by_inverse(q)
         if ico is not None:
@@ -530,10 +542,10 @@ def test_from_quat_matches_the_rational_inverse():
 
 
 def test_structure_tables_match_the_rational_derivation():
-    """The integer tables, read off the products, conjugates and twists of
-    e_1..e_4 by o-linearity, equal the change of basis of every rational
-    zb_i zb_j, conj(zb_i) and twist(zb_i), and the doubled trace form equals
-    tr(zb_i conj(zb_j)) computed on quaternions."""
+    """The integer tables, derived from _TWO_E on integers, equal the change
+    of basis of every zb_i zb_j, conj(zb_i) and twist(zb_i) in the rational
+    algebra, _TWO_E is twice the rational basis, and the trace and doubled
+    trace forms equal tr(e_i) and tr(zb_i conj(zb_j)) on quaternions."""
 
     def zc_of(q):
         ico = Icosian.from_quat(q)
@@ -541,10 +553,52 @@ def test_structure_tables_match_the_rational_derivation():
         return ico.zc
 
     zbs = ZBASIS_QUATS
-    assert _MUL == tuple(tuple(zc_of(x * y) for y in zbs) for x in zbs)
-    assert _CJ8 == tuple(zc_of(x.conj()) for x in zbs)
-    assert _TW8 == tuple(zc_of(x.twist()) for x in zbs)
-    assert _TRG8 == tuple(tuple((x * y.conj()).tr().to_oint() for y in zbs) for x in zbs)
+    assert _TWO_E == tuple(tuple((2 * x.a, 2 * x.b) for x in e.components()) for e in BASIS)
+    assert _MUL == tuple(tuple(zc_of(mul(x, y)) for y in zbs) for x in zbs)
+    assert _CJ8 == tuple(zc_of(conj(x)) for x in zbs)
+    assert _TW8 == tuple(zc_of(twist(x)) for x in zbs)
+    assert _TR4 == tuple(tr(e).to_oint() for e in BASIS)
+    assert _TRG8 == tuple(tuple(tr(mul(x, conj(y))).to_oint() for y in zbs) for x in zbs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ZC)
+def test_quat_matches_the_rational_basis_sum(zc):
+    """Icosian.quat(), one integer pass over _TWO_E halved once, against
+    sum zc_i zb_i in the rational algebra."""
+    total = Quat.of(0)
+    for x, zb in zip(zc, ZBASIS_QUATS):
+        total = add(total, scale(zb, x))
+    assert Icosian(zc).quat() == total
+
+
+# The laws of the integer algebra on I, on its own terms.
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ZC, _ZC)
+def test_twist_and_conj_are_involutive_anti_automorphisms(zc, yc):
+    x, y = Icosian(zc), Icosian(yc)
+    assert (x * y).twist() == y.twist() * x.twist()
+    assert (x * y).conj() == y.conj() * x.conj()
+    assert x.twist().twist() == x
+    assert x.conj().conj() == x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ZC, _ZC)
+def test_reduced_norm_laws(zc, yc):
+    x, y = Icosian(zc), Icosian(yc)
+    assert x * x.conj() == Icosian.from_o(x.nr())
+    assert (x * y).nr() == x.nr() * y.nr()
+    assert x.twist().nr() == x.nr().conj()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ZC)
+def test_phi_plus_is_twist_invariant(zc):
+    y = Icosian(zc).phi_plus()
+    assert y.twist() == y
 
 
 def test_unit_right_mul_matrices_match_per_basis_products():

@@ -33,8 +33,9 @@ from a4csl.lattice import (
     phi_plus_image,
     to_L_coords,
 )
-from a4csl.quaternion import Quat, parse_quat, twist
+from a4csl.quaternion import Quat, parse_quat
 from test_hnf import left_kernel
+from test_quaternion import phi_plus, twist
 from test_shortvec import gauss_jordan
 
 rng = random.Random(271828)
@@ -56,6 +57,8 @@ def test_gram_is_half_cartan():
 
 
 def test_basis_is_twist_invariant():
+    texts = ("(1,0,0,0)", "(-1/2,1/2,1/2,1/2)", "(0,-1,0,0)", "(0,1/2,-1/2+1/2*t,-1/2*t)")
+    assert L_BASIS == tuple(map(parse_quat, texts))
     for b in L_BASIS:
         assert twist(b) == b
 
@@ -86,7 +89,7 @@ def _random_quat(den):
     """A quaternion with components (a + b tau) / den, or, half the time, a
     twist-invariant one: phi_plus of such a quaternion."""
     q = Quat(*(KNum(Fraction(rng.randint(-6, 6), den), Fraction(rng.randint(-6, 6), den)) for _ in range(4)))
-    return q + twist(q) if rng.random() < 0.5 else q
+    return phi_plus(q) if rng.random() < 0.5 else q
 
 
 def test_to_L_coords_matches_the_rational_elimination():

@@ -1,3 +1,17 @@
+"""The rational quaternion algebra H(K), K = Q(sqrt5), as free functions over
+the text form Quat in KNum arithmetic, and the tests of its laws.  Only mul
+multiplies the Z[tau] numerators of its operands, with the explicit formula,
+and divides once; the formula in KNum arithmetic is its own oracle.
+
+It is the oracle of the integer algebra in a4csl.icosian: the structure
+tables, the integer Hamilton product and Icosian.quat() are checked
+against it in these tests and in test_icosian.  Besides the usual
+conjugation the algebra carries the twist q -> (a', b', d', c'), algebraic
+conjugation of the coefficients with a j/k swap, an involutive
+anti-automorphism; phi_plus(x) = x + twist(x) projects onto its fixed space.
+"""
+
+import operator
 import random
 from fractions import Fraction
 
@@ -6,17 +20,78 @@ from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import DomainError, ParseError
 from a4csl.field import KNum, OInt
-from a4csl.quaternion import (
-    Quat,
-    conj_q,
-    format_quat,
-    inverse,
-    nr,
-    parse_quat,
-    phi_plus,
-    tr,
-    twist,
-)
+from a4csl.icosian import _hamilton
+from a4csl.quaternion import Quat, _cleared, format_quat, parse_quat
+
+
+def add(p, q):
+    return Quat(*map(operator.add, p.components(), q.components()))
+
+
+def neg(q):
+    return Quat(*(-x for x in q.components()))
+
+
+def _hamilton_formula(p, q):
+    """Hamilton's product of two 4-tuples over a commutative ring."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def mul(p, q):
+    """Hamilton's product: the formula on the numerators of p and q in Z[tau]
+    (OInt) over their common denominators, then one division, which keeps
+    Fraction arithmetic out of the 16 products."""
+    dp, x = _cleared(p)
+    dq, y = _cleared(q)
+    prod = _hamilton_formula([OInt(*c) for c in x], [OInt(*c) for c in y])
+    return Quat(*(KNum(Fraction(c.a, dp * dq), Fraction(c.b, dp * dq)) for c in prod))
+
+
+def scale(q, s):
+    s = KNum.of(s)
+    return Quat(*(x * s for x in q.components()))
+
+
+def conj(q):
+    return Quat(q.a, -q.b, -q.c, -q.d)
+
+
+def nr(q):
+    """Reduced norm q * conj(q) = a^2 + b^2 + c^2 + d^2."""
+    return sum((x * x for x in q.components()), KNum.of(0))
+
+
+def tr(q):
+    """Reduced trace q + conj(q) = 2a."""
+    return q.a * 2
+
+
+def twist(q):
+    return Quat(q.a.conj(), q.b.conj(), q.d.conj(), q.c.conj())
+
+
+def phi_plus(x):
+    """x + twist(x); the image is pointwise twist-invariant."""
+    return add(x, twist(x))
+
+
+def is_zero(q):
+    return all(x.is_zero() for x in q.components())
+
+
+def inverse(q):
+    n = nr(q)
+    if n.is_zero():
+        raise DomainError("zero quaternion has no inverse")
+    return scale(conj(q), n.inverse())
+
 
 rng = random.Random(97531)
 
@@ -38,9 +113,9 @@ def rand_quat():
 
 
 def test_conj_examples():
-    assert conj_q(Quat.of(1)) == Quat.of(1)
-    assert conj_q(I_Q) == -I_Q
-    assert conj_q(R_EXAMPLE) == parse_quat("(t,-2*t,0,0)")
+    assert conj(Quat.of(1)) == Quat.of(1)
+    assert conj(I_Q) == neg(I_Q)
+    assert conj(R_EXAMPLE) == parse_quat("(t,-2*t,0,0)")
 
 
 def test_nr_tr_examples():
@@ -52,10 +127,10 @@ def test_nr_tr_examples():
 def test_nr_is_q_qbar():
     for _ in range(300):
         q = rand_quat()
-        prod = q * q.conj()
+        prod = mul(q, conj(q))
         assert prod.b.is_zero() and prod.c.is_zero() and prod.d.is_zero()
         assert prod.a == nr(q)
-        assert tr(q) == (q + q.conj()).a
+        assert tr(q) == add(q, conj(q)).a
 
 
 def test_twist_examples():
@@ -69,7 +144,7 @@ def test_twist_examples():
 def test_twist_antihomomorphism_and_norm():
     for _ in range(300):
         p, q = rand_quat(), rand_quat()
-        assert twist(p * q) == twist(q) * twist(p)
+        assert twist(mul(p, q)) == mul(twist(q), twist(p))
         assert nr(twist(q)) == nr(q).conj()
 
 
@@ -84,25 +159,13 @@ def test_phi_plus_examples():
 
 
 def test_hamilton_products():
-    assert I_Q * J_Q == K_Q
-    assert J_Q * I_Q == -K_Q
-    assert J_Q * K_Q == I_Q
-    assert K_Q * I_Q == J_Q
-    assert I_Q * I_Q == Quat.of(-1)
-    assert J_Q * J_Q == Quat.of(-1)
-    assert K_Q * K_Q == Quat.of(-1)
-
-
-def _hamilton_knum(p, q):
-    """Hamilton's product in KNum arithmetic (the former Quat.__mul__)."""
-    a1, b1, c1, d1 = p.components()
-    a2, b2, c2, d2 = q.components()
-    return Quat(
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
+    assert mul(I_Q, J_Q) == K_Q
+    assert mul(J_Q, I_Q) == neg(K_Q)
+    assert mul(J_Q, K_Q) == I_Q
+    assert mul(K_Q, I_Q) == J_Q
+    assert mul(I_Q, I_Q) == Quat.of(-1)
+    assert mul(J_Q, J_Q) == Quat.of(-1)
+    assert mul(K_Q, K_Q) == Quat.of(-1)
 
 
 # Numerators past 2^64 and denominators up to 2^64, so the common
@@ -116,25 +179,33 @@ _big_quat = st.builds(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_big_quat, _big_quat)
 def test_mul_matches_knum_product(p, q):
-    assert p * q == _hamilton_knum(p, q)
+    """The integer Hamilton product of icosian on o-pairs, applied to the
+    operands cleared to one denominator each, and mul, against the formula
+    in KNum arithmetic."""
+    expected = Quat(*_hamilton_formula(p.components(), q.components()))
+    den1, x = _cleared(p)
+    den2, y = _cleared(q)
+    den = den1 * den2
+    assert Quat(*(KNum(Fraction(a, den), Fraction(b, den)) for a, b in _hamilton(x, y))) == expected
+    assert mul(p, q) == expected
 
 
 def test_mul_associative_nr_multiplicative():
     for _ in range(200):
         p, q, r = rand_quat(), rand_quat(), rand_quat()
-        assert (p * q) * r == p * (q * r)
-        assert nr(p * q) == nr(p) * nr(q)
+        assert mul(mul(p, q), r) == mul(p, mul(q, r))
+        assert nr(mul(p, q)) == nr(p) * nr(q)
 
 
 def test_inverse():
     inv = inverse(R_EXAMPLE)
-    assert inv == R_EXAMPLE.conj().scale(KNum(5, 5).inverse())
-    assert R_EXAMPLE * inv == Quat.of(1)
+    assert inv == scale(conj(R_EXAMPLE), KNum(5, 5).inverse())
+    assert mul(R_EXAMPLE, inv) == Quat.of(1)
     for _ in range(100):
         q = rand_quat()
-        if q.is_zero():
+        if is_zero(q):
             continue
-        assert q * inverse(q) == Quat.of(1)
+        assert mul(q, inverse(q)) == Quat.of(1)
     with pytest.raises(DomainError):
         inverse(Quat.of(0))
 
@@ -153,7 +224,7 @@ def test_text_roundtrip():
 
 def test_scalar_coercions():
     q = Quat.of(1, 2, 3, 4)
-    assert q.scale(OInt(0, 1)) == Quat(KNum(0, 1), KNum(0, 2), KNum(0, 3), KNum(0, 4))
-    assert q.scale(Fraction(1, 2)) == Quat.of(
+    assert scale(q, OInt(0, 1)) == Quat(KNum(0, 1), KNum(0, 2), KNum(0, 3), KNum(0, 4))
+    assert scale(q, Fraction(1, 2)) == Quat.of(
         Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)
     )
