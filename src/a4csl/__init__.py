@@ -6,8 +6,6 @@ from .field import (
     KNum,
     OInt,
     OFactorization,
-    abs_norm,
-    conj_k,
     factor_o,
     format_knum,
     format_oint,
@@ -25,9 +23,6 @@ from .icosian import (
     den,
     extension,
     glcd,
-    is_admissible,
-    is_primitive,
-    is_unit,
     right_ideal,
     same_right_ideal,
     to_icosian,
@@ -36,8 +31,6 @@ from .icosian import (
 from .lattice import (
     GRAM,
     SublatticeL,
-    intersect,
-    lattice_sum,
     module_to_L,
     phi_plus_image,
     to_L_coords,
@@ -50,9 +43,7 @@ from .csl import (
     csl_intersection,
     csl_record,
     equal_csl,
-    reflection_csl,
     rotation_of,
-    sigma,
     sufficient_equal_lemma,
     symmetry_related,
 )

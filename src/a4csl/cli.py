@@ -284,6 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact numbers outgrow Python's limit on int-str conversions (4300
+    # digits): lift it while the command runs, and give it back on return.
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.threads < 1:

@@ -68,18 +68,14 @@ from .field import (
     tau_pow,
     unit_normalize,
 )
-from .icosian import (  # the orbit kernel's helpers are named here for its tests
+from .icosian import (
     Icosian,
     NORM_A_GRAM,
     TRACE_GRAM,
     _apply8,
     _combine,
     _left_rows,
-    _orbit,
-    _orbit_bits,
-    _orbit_blocks,
     _orbit_min,
-    _orbit_packing,
     _right_rows,
     _sparse,
     _split,

@@ -12,6 +12,10 @@ they are read from a table of the 36 pair terms zb_i b_j twist(zb_k) +
 zb_k b_j twist(zb_i), built once and checked to lie in L, with no icosian
 products per rotation.
 
+There is no path for orientation-reversing isometries.  Quaternion
+conjugation maps L onto L, so it is a symmetry of L, and the CSL of
+x -> q conj(x) twist(q) / den is L n R(q)L, the CSL of the rotation.
+
 equal_csl implements the arithmetic criterion for two rotations to share
 one CSL: equal balanced norms plus equality of the right ideals
 p I + (den/c) I, where c divides out one ramified prime when 5 | Sigma.
@@ -21,7 +25,7 @@ symmetry_related tests rI == sI by integer left division in I.
 
 Nothing here re-derives den, alpha or Sigma: the entry points take them
 from icosian._balance, after icosian._require_primitive or after reducing
-q to its primitive part (_balanced_part).
+q to its primitive part (rotation_of).
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .icosian import (
     left_ideal_rows,
     right_ideal,
     same_right_ideal,
-    sigma_index,
 )
 from .lattice import (
     B_ICO,
@@ -84,7 +87,8 @@ class CoincidenceRotation:
         """The rational matrix acting on L-coordinate column vectors: column
         j, the coordinates of the image of the j-th basis vector, is
         image_rows[j] / sigma."""
-        return _matrix(self.image_rows, self.sigma)
+        rows, s = self.image_rows, self.sigma
+        return tuple(tuple(Fraction(rows[j][i], s) for j in range(4)) for i in range(4))
 
     def to_json(self) -> dict:
         return {
@@ -101,68 +105,51 @@ class CoincidenceRotation:
 _PAIRS = tuple((i, k) for i in range(8) for k in range(i, 8))
 
 
-@lru_cache(maxsize=2)
-def _image_table(conjugate_argument: bool):
+@lru_cache(maxsize=1)
+def _image_table():
     """Row p, for (i, k) = _PAIRS[p]: the L-coordinates of
     T_ik = zb_i b_j twist(zb_k) + zb_k b_j twist(zb_i) (the first term alone
-    when i == k), j = 0..3, one after the other (16 integers); b_j is
-    replaced by conj(b_j) when conjugate_argument.
+    when i == k), j = 0..3, one after the other (16 integers).
 
     All 288 terms lying in L proves that every image q b_j twist(q) does:
     it is an integer combination of them.
     """
-    args = [b.conj() if conjugate_argument else b for b in B_ICO]
     table = []
     for i, k in _PAIRS:
         row = []
-        for b in args:
+        for b in B_ICO:
             term = ZB_ICO[i] * b * ZB_ICO[k].twist()
             if i != k:
                 term = term + ZB_ICO[k] * b * ZB_ICO[i].twist()
             coords = int_L_coords(term)
             if coords is None:
-                raise AssertionError("conjugated image must stay in L")
+                raise AssertionError("image terms must stay in L")
             row.extend(coords)
         table.append(row)
     return _sparse(table)
 
 
-def _image_rows(q: Icosian, conjugate_argument: bool = False) -> list[tuple[int, ...]]:
-    """Integer L-coordinates of q * b_j * twist(q) (or q * conj(b_j) * twist(q))."""
+def _image_rows(q: Icosian) -> list[tuple[int, ...]]:
+    """Integer L-coordinates of q * b_j * twist(q)."""
     z = q.zc
     quad = [z[i] * z[k] for i, k in _PAIRS]
-    return _split(_combine(quad, _image_table(conjugate_argument), 16), 4)
-
-
-def _balanced_part(q: Icosian) -> tuple[Icosian, Icosian, OInt, int, int]:
-    """(p, alpha p, alpha, sigma, den) for the primitive part p of q."""
-    if q.is_zero():
-        raise DomainError("zero defines no coincidence isometry")
-    p = q.primitive_part()
-    d, alpha, sig = _balance(p)
-    return p, p.scale_o(alpha), alpha, sig, d
-
-
-def _isometry_rows(rows, s: int):
-    """rows, checked to preserve the Gram form up to s^2."""
-    if not rows_preserve_gram(rows, s):
-        raise AssertionError("isometry matrix must preserve the Gram form")
-    return rows
-
-
-def _matrix(rows, s: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The isometry matrix (1/s) rows^T."""
-    return tuple(tuple(Fraction(rows[j][i], s) for j in range(4)) for i in range(4))
+    return _split(_combine(quad, _image_table(), 16), 4)
 
 
 def rotation_of(q: Icosian) -> CoincidenceRotation:
     """The coincidence rotation defined by q (reduced to its primitive part).
 
-    Raises DomainError when the primitive part is not admissible, i.e. the
-    denominator is not a positive integer.
+    Raises DomainError when q is zero or its primitive part is not
+    admissible, i.e. the denominator is not a positive integer.
     """
-    p, q_alpha, alpha, sig, d = _balanced_part(q)
-    rows = _isometry_rows(tuple(_image_rows(q_alpha)), sig)
+    if q.is_zero():
+        raise DomainError("zero defines no coincidence isometry")
+    p = q.primitive_part()
+    d, alpha, sig = _balance(p)
+    q_alpha = p.scale_o(alpha)
+    rows = tuple(_image_rows(q_alpha))
+    if not rows_preserve_gram(rows, sig):
+        raise AssertionError("isometry matrix must preserve the Gram form")
     return CoincidenceRotation(q=p, q_alpha=q_alpha, alpha=alpha, sigma=sig, den=d, image_rows=rows)
 
 
@@ -200,11 +187,6 @@ def csl_ideal_form(rot: CoincidenceRotation) -> SublatticeL:
     if lat.index != rot.sigma:
         raise DomainError(f"ideal-form index {lat.index} != sigma {rot.sigma}")
     return lat
-
-
-def sigma(q: Icosian) -> int:
-    """Coincidence index of the rotation of a primitive admissible q."""
-    return sigma_index(q)
 
 
 def _criterion_beta(p: Icosian) -> OInt:
@@ -270,19 +252,6 @@ def symmetry_related(r: Icosian, s: Icosian) -> bool:
     _require_primitive(r)
     _require_primitive(s)
     return same_right_ideal(r, s)
-
-
-def reflection_matrix(q: Icosian) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of the orientation-reversing map x -> q conj(x) twist(q) / den,
-    canonicalised through the extension like rotation_of."""
-    _p, q_alpha, _alpha, sig, _d = _balanced_part(q)
-    return _matrix(_isometry_rows(_image_rows(q_alpha, conjugate_argument=True), sig), sig)
-
-
-def reflection_csl(q: Icosian) -> SublatticeL:
-    """CSL of the orientation-reversing isometry x -> q conj(x) twist(q)/den."""
-    _p, q_alpha, _alpha, sig, _d = _balanced_part(q)
-    return _intersection_from_rows(_image_rows(q_alpha, conjugate_argument=True), sig, sig)
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,6 @@ ZERO_O = OInt(0, 0)
 ONE_O = OInt(1, 0)
 TAU = OInt(0, 1)
 TAU_INV = OInt(-1, 1)  # 1/tau = tau - 1
-TAU2 = OInt(1, 1)
 TAU4 = OInt(2, 3)
 SQRT5 = OInt(-1, 2)  # 2*tau - 1, the ramified prime; SQRT5**2 == 5
 
@@ -233,19 +232,6 @@ class KNum:
 
 
 ZERO_K = KNum(Fraction(0), Fraction(0))
-ONE_K = KNum(Fraction(1), Fraction(0))
-TAU_K = KNum(Fraction(0), Fraction(1))
-HALF = Fraction(1, 2)
-
-
-def conj_k(x: KNum) -> KNum:
-    """Algebraic conjugation in K (sqrt5 -> -sqrt5)."""
-    return x.conj()
-
-
-def abs_norm(x: KNum) -> Fraction:
-    """The absolute norm N(x) = |x x'| on K."""
-    return x.norm()
 
 
 def _ratio_ge_tau2(y: OInt) -> bool:
@@ -334,12 +320,6 @@ class OFactorization:
 
     unit: OInt
     factors: tuple[tuple[OInt, int, str], ...]
-
-    def value(self) -> OInt:
-        out = self.unit
-        for prime, exp, _tag in self.factors:
-            out = out * prime**exp
-        return out
 
 
 def factor_int(n: int) -> list[tuple[int, int]]:

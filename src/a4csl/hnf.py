@@ -75,16 +75,6 @@ def _lower_block(rows, k: int) -> list[list[int]]:
     return [row[k:] for row in hnf(rows) if not any(row[:k])]
 
 
-def intersect_rows(rows_a, rows_b) -> list[list[int]]:
-    """HNF basis of the intersection of two integer row lattices in Z^n: the
-    rows of hnf([a | a] + [b | 0]) that vanish on the first n columns."""
-    a = [list(r) for r in rows_a]
-    if not a or not rows_b:
-        return []
-    n = len(a[0])
-    return _lower_block([r + r for r in a] + [list(r) + [0] * n for r in rows_b], n)
-
-
 def contains(hnf_rows, vec) -> bool:
     """Membership of an integer vector in the row lattice given by an HNF."""
     v = list(vec)

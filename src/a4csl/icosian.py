@@ -24,7 +24,7 @@ factor to its right one; a dense triple loop over _MUL is the test oracle.
 The 120 icosians of reduced norm 1 form the binary icosahedral group; the
 full unit group of I is {+-tau^k} times these.  Right ideals q*I are
 handled as rank-8 Z-modules in Hermite normal form, which makes ideal
-equality, sums and indices canonical.  Left division is integer: d^-1 x
+equality and sums canonical.  Left division is integer: d^-1 x
 lies in I iff nr(d) divides every o-coordinate of conj(d) x.  glcd(p, beta)
 is a generator of p*I + beta*I, found as the last remainder of a
 right-Euclidean division in I, which is E8 under NORM_A_GRAM and hence
@@ -62,7 +62,7 @@ from .field import (
     tau_pow,
     unit_normalize,
 )
-from .hnf import diagonal_product, hnf_square, contains as hnf_contains
+from .hnf import hnf_square, contains as hnf_contains
 from .quaternion import Quat, _cleared
 from .shortvec import eval_form
 
@@ -399,14 +399,6 @@ def to_icosian(q: Quat) -> Icosian | None:
     return Icosian.from_quat(q)
 
 
-def is_primitive(p: Icosian) -> bool:
-    return p.is_primitive()
-
-
-def is_admissible(q: Icosian) -> bool:
-    return q.is_admissible()
-
-
 def _require_primitive(q: Icosian) -> None:
     """Raise DomainError unless q is nonzero and primitive."""
     if q.is_zero():
@@ -464,10 +456,6 @@ def sigma_index(q: Icosian) -> int:
     """The coincidence index lcm(nr q, nr q') of a primitive admissible q."""
     _require_primitive(q)
     return _balance(q)[2]
-
-
-def is_unit(q: Icosian) -> bool:
-    return q.is_unit()
 
 
 @lru_cache(maxsize=1)
@@ -615,20 +603,8 @@ class Rank8Module:
     def from_rows(cls, rows) -> "Rank8Module":
         return cls(hnf_square(rows, 8))
 
-    def index(self) -> int:
-        return diagonal_product(self.rows)
-
     def contains(self, x: Icosian) -> bool:
         return hnf_contains(self.rows, x.zc)
-
-    def sum(self, other: "Rank8Module") -> "Rank8Module":
-        return Rank8Module.from_rows(list(self.rows) + list(other.rows))
-
-    def basis(self) -> tuple[Icosian, ...]:
-        return tuple(Icosian(r) for r in self.rows)
-
-    def to_json(self) -> list[int]:
-        return [v for row in self.rows for v in row]
 
 
 def right_ideal(generators) -> Rank8Module:

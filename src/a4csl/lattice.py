@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
 from .errors import DomainError
-from .hnf import _lower_block, hnf, hnf_square, diagonal_product, intersect_rows, contains as hnf_contains
+from .hnf import _lower_block, hnf, hnf_square, diagonal_product
 from .icosian import NORM_A_GRAM, NORM_B_GRAM, ZB_ICO, Icosian, _combine, _sparse, _split, _table_zc, _zc_of_o4
 from .quaternion import Quat, _cleared
 from .shortvec import gram_of_basis
@@ -98,48 +97,9 @@ class SublatticeL:
             out.append(row)
         return cls.from_integer_rows(out)
 
-    @classmethod
-    def full(cls) -> "SublatticeL":
-        return cls(tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))
-
     @property
     def index(self) -> int:
         return diagonal_product(self.hnf)
-
-    def scaled(self, k: int) -> "SublatticeL":
-        if k <= 0:
-            raise DomainError("scale factor must be positive")
-        return SublatticeL(tuple(tuple(k * v for v in row) for row in self.hnf))
-
-    def contains_vector(self, vec) -> bool:
-        return hnf_contains(self.hnf, vec)
-
-    def contains(self, other: "SublatticeL") -> bool:
-        return all(self.contains_vector(r) for r in other.hnf)
-
-    def to_json(self) -> dict:
-        return {"hnf": [v for row in self.hnf for v in row], "index": self.index}
-
-    @classmethod
-    def from_json(cls, data) -> "SublatticeL":
-        flat = data["hnf"]
-        if len(flat) != 16:
-            raise DomainError("sublattice HNF must have 16 entries")
-        rows = [flat[4 * i : 4 * i + 4] for i in range(4)]
-        lat = cls.from_integer_rows(rows)
-        if lat.index != data["index"]:
-            raise DomainError(
-                f"declared index {data['index']} does not match HNF index {lat.index}"
-            )
-        return lat
-
-
-def intersect(a: SublatticeL, b: SublatticeL) -> SublatticeL:
-    return SublatticeL.from_integer_rows(intersect_rows(a.hnf, b.hnf))
-
-
-def lattice_sum(a: SublatticeL, b: SublatticeL) -> SublatticeL:
-    return SublatticeL.from_integer_rows(list(a.hnf) + list(b.hnf))
 
 
 def _meet_from_block(rows) -> SublatticeL:
@@ -186,17 +146,6 @@ def phi_plus_image(q: Icosian) -> SublatticeL:
     return SublatticeL.from_integer_rows(_split(_combine(q.zc, _phi_plus_table(), 32), 4))
 
 
-def conjugation_matrix_L() -> tuple[tuple[int, ...], ...]:
-    """Matrix of quaternion conjugation restricted to L (column convention)."""
-    cols = []
-    for b in B_ICO:
-        coords = int_L_coords(b.conj())
-        if coords is None:
-            raise AssertionError("conjugation must preserve L")
-        cols.append(coords)
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
-
-
 def rows_preserve_gram(rows, s: int) -> bool:
     """R (2G) R^T == s^2 (2G) for the integer 4x4 matrix R = rows: the map
     with column j = rows[j] / s preserves the Gram form.  Both sides are
@@ -207,10 +156,3 @@ def rows_preserve_gram(rows, s: int) -> bool:
         sum(map(mul, rg[i], rows[j])) == s2 * GRAM2[i][j] for i in range(4) for j in range(i, 4)
     )
 
-
-def is_g_orthogonal(mat) -> bool:
-    """M^T G M == G, exactly: rows_preserve_gram on s M^T, with s the least
-    common denominator of the entries of M."""
-    fr = [[Fraction(v) for v in row] for row in mat]
-    s = lcm(*(v.denominator for row in fr for v in row))
-    return rows_preserve_gram([[int(fr[k][j] * s) for k in range(4)] for j in range(4)], s)

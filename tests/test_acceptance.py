@@ -22,7 +22,7 @@ from a4csl.csl import (
     rotation_of,
     symmetry_related,
 )
-from a4csl.field import KNum, OInt, abs_norm, lcm_o, unit_normalize
+from a4csl.field import KNum, OInt, lcm_o, unit_normalize
 from a4csl.icosian import Icosian, ZB_ICO, to_icosian, unit_group
 from a4csl.lattice import GRAM, SublatticeL, to_L_coords
 from a4csl.quaternion import Quat, parse_quat
@@ -156,8 +156,10 @@ def test_criterion_6_criterion_soundness(classes_by_index):
             map(sorted, by_hnf.values())
         ), f"criterion partition differs from HNF partition at n={n}"
         if n % 5 != 0:
-            # rigidity: rational norms and 5 not dividing sigma force each
-            # CSL to come from a single symmetry class
+            # rigidity: where 5 does not divide sigma and every class has a
+            # rational norm, each CSL comes from a single symmetry class.
+            # Only then: at sigma = 121 the classes of nr 10+3t and 10+7t
+            # give 24 CSLs that come from 11 classes each.
             rational_norms = all(
                 classes_by_index[n][i].nr().b == 0 for i in keys
             )
@@ -172,7 +174,8 @@ def test_criterion_6_criterion_soundness(classes_by_index):
         6,
         witness,
         f"criterion == HNF equality on all classes with sigma <= {NMAX_TRIPLE}, "
-        f"rigidity holds off 5|sigma, and the sigma=5 witness pair exists ({elapsed:.1f}s)",
+        f"rigidity holds where 5 does not divide sigma and every norm is rational, "
+        f"and the sigma=5 witness pair exists ({elapsed:.1f}s)",
     )
 
 

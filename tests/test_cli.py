@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +153,39 @@ def test_bad_threads_or_budget_is_usage_error(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "must be at least" in err and "Traceback" not in err
+
+
+# (N, 1, 0, 0) with N = 10^2999: nr = sigma = N^2 + 1 has 5999 digits, past
+# Python's default limit of 4300 digits on int-str conversions.
+BIG_N = "1" + "0" * 2999
+BIG_SIGMA = "1" + "0" * 5997 + "1"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("verb", ["rot", "csl"])
+def test_exact_output_past_the_int_str_limit(capsys, verb, fmt):
+    """Numbers longer than Python's int-str limit are read and printed in
+    full, and main gives the limit back when it returns."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(capsys, "--output", fmt, verb, f"({BIG_N},1,0,0)")
+    assert code == 0 and "Traceback" not in err
+    pattern = r'"sigma":(\d+)' if fmt == "json" else r"^sigma +=\s*(\d+)$"
+    assert re.search(pattern, out, re.M).group(1) == BIG_SIGMA
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_readme_library_example(capsys):
+    """The python block of README.md runs and prints what its comments say:
+    `5 5` for sigma and den, and `True` for equal_csl."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert prints[0].endswith("# 5 5") and "# True" in prints[2]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(prints) == 3
+    assert printed[0] == "5 5" and printed[2] == "True"
 
 
 GOLDEN = Path(__file__).parent / "golden"

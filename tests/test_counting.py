@@ -14,6 +14,12 @@ from a4csl.icosian import (
     NORM_A_GRAM,
     TRACE_GRAM,
     _apply8,
+    _orbit,
+    _orbit_bits,
+    _orbit_blocks,
+    _orbit_min,
+    _orbit_packing,
+    _unit_matrices,
     extension,
     sigma_index,
     unit_group,
@@ -24,13 +30,7 @@ from a4csl.counting import (
     NodeBudget,
     _class_csls,
     _class_reps_by_products,
-    _orbit,
-    _orbit_bits,
-    _orbit_blocks,
-    _orbit_min,
-    _orbit_packing,
     _totally_positive,
-    _unit_matrices,
     census,
     census_csv,
     census_table,

@@ -13,15 +13,13 @@ from hypothesis import given, settings, strategies as st
 import a4csl.csl as csl
 from a4csl.errors import DomainError
 from a4csl.field import OInt, TAU, lcm_o, unit_normalize
-from a4csl.hnf import diagonal_product, hnf, intersect_rows
+from a4csl.hnf import diagonal_product, hnf
 from a4csl.icosian import Icosian, den, extension, sigma_index, to_icosian, unit_group
 from a4csl.lattice import (
     B_ICO,
     GRAM,
     SublatticeL,
-    conjugation_matrix_L,
     int_L_coords,
-    is_g_orthogonal,
     rows_preserve_gram,
 )
 from a4csl.csl import (
@@ -34,20 +32,44 @@ from a4csl.csl import (
     csl_intersection,
     csl_record,
     equal_csl,
-    reflection_csl,
-    reflection_matrix,
     rotation_of,
-    sigma,
     sufficient_equal_lemma,
     symmetry_related,
 )
 from a4csl.quaternion import parse_quat
+from test_hnf import intersect_rows
+from test_lattice import FULL, conjugation_matrix_L
 
 rng = random.Random(5551212)
 
 R_ICO = to_icosian(parse_quat("(t,2*t,0,0)"))
 S_ICO = to_icosian(parse_quat("(1+t,t,t,1)"))
 UNIT_HALF = to_icosian(parse_quat("(1/2,1/2,1/2,1/2)"))
+
+
+def g_orthogonal(m):
+    """M^T GRAM M == GRAM for a rational 4x4 matrix M, entry by entry in
+    Fractions: the dense oracle of the integer check rows_preserve_gram."""
+    return all(
+        sum(m[k][i] * GRAM[k][l] * m[l][j] for k in range(4) for l in range(4)) == GRAM[i][j]
+        for i in range(4)
+        for j in range(4)
+    )
+
+
+def reflection_rows(q_alpha):
+    """The integer image rows of x -> q_alpha conj(x) twist(q_alpha):
+    int_L_coords(q_alpha conj(b_j) twist(q_alpha)), j = 0..3."""
+    rows = [int_L_coords(q_alpha * b.conj() * q_alpha.twist()) for b in B_ICO]
+    assert None not in rows
+    return rows
+
+
+def reflection_matrix(rot):
+    """The matrix of x -> q_alpha conj(x) twist(q_alpha) / sigma, column j
+    the image of b_j, as rotation_of builds it from its image rows."""
+    rows = reflection_rows(rot.q_alpha)
+    return tuple(tuple(Fraction(rows[j][i], rot.sigma) for j in range(4)) for i in range(4))
 
 
 def rand_admissible(max_sigma=60, tries=500):
@@ -59,7 +81,7 @@ def rand_admissible(max_sigma=60, tries=500):
         p = q.primitive_part()
         if not p.is_admissible():
             continue
-        if sigma(p) <= max_sigma:
+        if sigma_index(p) <= max_sigma:
             out.append(p)
     return out
 
@@ -79,20 +101,20 @@ def test_rotation_examples():
 def test_rotation_matrix_is_g_orthogonal():
     for q in [R_ICO, S_ICO, UNIT_HALF] + rand_admissible(100, 200):
         m = rotation_of(q).matrix
-        assert is_g_orthogonal(m)
+        assert g_orthogonal(m)
 
 
 def test_integer_gram_check_catches_one_entry_changes():
-    """rotation_of and reflection_matrix check R (2G) R^T == sigma^2 (2G)
-    on the integer image rows R; changing any one entry by +-1 breaks it,
-    and is_g_orthogonal on the rational matrix says the same.  (Always: a
+    """rotation_of checks R (2G) R^T == sigma^2 (2G) on the integer image
+    rows R, which holds for the rotation and reflection rows alike; changing
+    any one entry by +-1 breaks it, and the dense rational check on the
+    matrix says the same.  (Always: a
     change in column k could survive only if column k of R (2G) were -+e_j,
     but every column c of R (2G) has c^T (2G)^-1 c = 2 sigma^2, and e_j has
     at most 6/5.)"""
     for q in [R_ICO, S_ICO, UNIT_HALF] + rand_admissible(100, 100):
         rot = rotation_of(q)
-        for reflect in (False, True):
-            rows = _image_rows(rot.q_alpha, conjugate_argument=reflect)
+        for rows in (rot.image_rows, reflection_rows(rot.q_alpha)):
             assert rows_preserve_gram(rows, rot.sigma)
             for j in range(4):
                 for k in range(4):
@@ -101,7 +123,7 @@ def test_integer_gram_check_catches_one_entry_changes():
                         bad[j][k] += delta
                         assert not rows_preserve_gram(bad, rot.sigma)
                         mat = [[Fraction(bad[c][i], rot.sigma) for c in range(4)] for i in range(4)]
-                        assert not is_g_orthogonal(mat)
+                        assert not g_orthogonal(mat)
 
 
 BAD_INPUTS = {
@@ -110,18 +132,17 @@ BAD_INPUTS = {
     "(1,t,0,0)": to_icosian(parse_quat("(1,t,0,0)")),
 }
 
-# The routes that reduce their argument to its primitive part first.
+# The routes that reduce their argument to its primitive part first;
+# "sigma" is the coincidence index as the rotation record reports it.
 PRIMITIVE_PART_ROUTES = {
     "rotation_of": rotation_of,
-    "reflection_matrix": reflection_matrix,
-    "reflection_csl": reflection_csl,
     "csl_record": csl_record,
+    "sigma": lambda q: rotation_of(q).sigma,
 }
 VALIDATING_ROUTES = {
     "den": den,
     "extension": extension,
     "sigma_index": sigma_index,
-    "sigma": sigma,
     "criterion_ideal": criterion_ideal,
     "equal_csl(q, R)": lambda q: equal_csl(q, R_ICO),
     "equal_csl(R, q)": lambda q: equal_csl(R_ICO, q),
@@ -168,12 +189,12 @@ def test_extension_does_not_change_rotation():
 
 def test_csl_intersection_examples():
     ident = rotation_of(Icosian.from_int(1))
-    assert csl_intersection(ident).hnf == SublatticeL.full().hnf
+    assert csl_intersection(ident).hnf == FULL
     rot = rotation_of(R_ICO)
     lat = csl_intersection(rot)
     assert lat.index == 5
     for u in rng.sample(unit_group(), 5):
-        assert csl_intersection(rotation_of(u)).hnf == SublatticeL.full().hnf
+        assert csl_intersection(rotation_of(u)).hnf == FULL
 
 
 def test_triple_construction_agreement():
@@ -201,7 +222,7 @@ def test_intersection_from_rows_matches_intersect_rows():
     for q in [R_ICO, S_ICO] + rand_admissible(400, 200):
         rot = rotation_of(q)
         cases.append((rot.image_rows, rot.sigma))
-        cases.append((_image_rows(rot.q_alpha, conjugate_argument=True), rot.sigma))
+        cases.append((reflection_rows(rot.q_alpha), rot.sigma))
     while len(cases) < 160:
         rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
         if len(hnf(rows)) == 4:
@@ -215,9 +236,9 @@ def test_intersection_from_rows_matches_intersect_rows():
 
 
 def test_sigma_examples():
-    assert sigma(Icosian.from_int(1)) == 1
-    assert sigma(R_ICO) == 5
-    assert sigma(to_icosian(parse_quat("(1,2,0,0)"))) == 5
+    assert sigma_index(Icosian.from_int(1)) == 1
+    assert sigma_index(R_ICO) == 5
+    assert sigma_index(to_icosian(parse_quat("(1,2,0,0)"))) == 5
 
 
 def test_worked_example_pair():
@@ -232,7 +253,7 @@ def test_equal_csl_units_and_distinct_sigma():
         assert equal_csl(R_ICO, R_ICO * u)
         assert symmetry_related(R_ICO, R_ICO * u)
     two = to_icosian(parse_quat("(1,1,0,0)"))
-    assert sigma(two) == 2
+    assert sigma_index(two) == 2
     assert not equal_csl(R_ICO, two)
     with pytest.raises(DomainError):
         equal_csl(R_ICO, R_ICO.scale_o(OInt(2, 0)))
@@ -292,17 +313,22 @@ def test_symmetry_related_implies_equal_csl():
 
 
 def test_reflection_examples():
-    assert reflection_csl(Icosian.from_int(1)).hnf == SublatticeL.full().hnf
-    lat = reflection_csl(R_ICO)
-    assert lat.index == 5
-    assert lat.hnf == csl_intersection(rotation_of(R_ICO)).hnf
+    """Conjugation maps L onto L, so the orientation-reversing isometry
+    x -> q_alpha conj(x) twist(q_alpha) / sigma (determinant -1) has the
+    CSL of the rotation R(q): the meet of its image rows with L is
+    csl_Lq(rotation_of(q)).  This is why there is no reflection path."""
+    for q in [Icosian.from_int(1), R_ICO, S_ICO] + rand_admissible(400, 200):
+        rot = rotation_of(q)
+        lat = _intersection_from_rows(reflection_rows(rot.q_alpha), rot.sigma, rot.sigma)
+        assert lat.hnf == csl_Lq(rot).hnf
+        assert _det4(reflection_matrix(rot)) == -1
 
 
 def test_reflection_matrix_is_rotation_composed_with_conjugation():
     conj_mat = conjugation_matrix_L()
     for q in [R_ICO, S_ICO] + rand_admissible(30, 100):
         rot = rotation_of(q)
-        refl = reflection_matrix(q)
+        refl = reflection_matrix(rot)
         composed = tuple(
             tuple(
                 sum(rot.matrix[i][k] * conj_mat[k][j] for k in range(4))
@@ -312,7 +338,7 @@ def test_reflection_matrix_is_rotation_composed_with_conjugation():
         )
         assert refl == composed
         # orientation reversing G-isometry
-        assert is_g_orthogonal(refl)
+        assert g_orthogonal(refl)
 
 
 def _det4(m):
@@ -338,12 +364,11 @@ def _det4(m):
 def test_rotation_and_reflection_determinants():
     rot = rotation_of(R_ICO)
     assert _det4(rot.matrix) == 1
-    assert _det4(reflection_matrix(R_ICO)) == -1
+    assert _det4(reflection_matrix(rot)) == -1
 
 
 def test_rotation_products_are_coincidence_rotations():
     # OC is a group: the composed matrix is rational and L n RL has finite index
-    from a4csl.hnf import intersect_rows
     from math import lcm as int_lcm
 
     pool = [R_ICO, S_ICO] + rand_admissible(30, 100)
@@ -354,7 +379,7 @@ def test_rotation_products_are_coincidence_rotations():
             [sum(m1[i][k] * m2[k][j] for k in range(4)) for j in range(4)]
             for i in range(4)
         ]
-        assert is_g_orthogonal(prod)
+        assert g_orthogonal(prod)
         d = int_lcm(*[v.denominator for row in prod for v in row])
         rows = [[int(prod[i][j] * d) for i in range(4)] for j in range(4)]
         scaled_l = [[d * int(i == j) for j in range(4)] for i in range(4)]
@@ -368,7 +393,7 @@ def test_csl_record():
     data = rec.to_json()
     assert data["sigma"] == 5 and data["den"] == 5 and len(data["hnf"]) == 16
     with pytest.raises(DomainError):
-        CslRecord(rotation=rec.rotation, csl=SublatticeL.full())
+        CslRecord(rotation=rec.rotation, csl=SublatticeL(FULL))
 
 
 # Small coordinates, and coordinates past 2**63.
@@ -376,18 +401,18 @@ _COORD = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.tuples(*[_COORD] * 8), st.booleans())
-def test_image_rows_match_per_basis_products(zc, reflect):
-    """The quadratic table route of the rotation (and reflection) image rows
-    against q * b_j * twist(q) (resp. q * conj(b_j) * twist(q)) by
-    Icosian.__mul__ and int_L_coords, for any icosian q."""
+@given(st.tuples(*[_COORD] * 8))
+def test_image_rows_match_per_basis_products(zc):
+    """The quadratic table route of the rotation image rows against
+    q * b_j * twist(q) by Icosian.__mul__ and int_L_coords, for any
+    icosian q."""
     q = Icosian(zc)
     want = []
     for b in B_ICO:
-        coords = int_L_coords(q * (b.conj() if reflect else b) * q.twist())
+        coords = int_L_coords(q * b * q.twist())
         assert coords is not None
         want.append(coords)
-    assert _image_rows(q, conjugate_argument=reflect) == want
+    assert _image_rows(q) == want
 
 
 def test_rotation_keeps_its_image_rows():

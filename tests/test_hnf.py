@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import DomainError
 from a4csl.hnf import (
+    _lower_block,
     contains,
     diagonal_product,
     hnf,
     hnf_square,
-    intersect_rows,
 )
 
 rng = random.Random(4242)
@@ -24,6 +24,17 @@ def left_kernel(rows) -> list[list[int]]:
     n = len(a[0]) if a else 0
     aug = [r + [int(i == j) for j in range(m)] for i, r in enumerate(a)]
     return [row[n:] for row in hnf(aug) if not any(row[:n])]
+
+
+def intersect_rows(rows_a, rows_b) -> list[list[int]]:
+    """HNF basis of the intersection of two integer row lattices in Z^n: the
+    rows of hnf([a | a] + [b | 0]) that vanish on the first n columns.  The
+    meet oracle of the meets with L read off one echelon form."""
+    a = [list(r) for r in rows_a]
+    if not a or not rows_b:
+        return []
+    n = len(a[0])
+    return _lower_block([r + r for r in a] + [list(r) + [0] * n for r in rows_b], n)
 
 
 def rand_matrix(m, n, span=6):

@@ -13,6 +13,7 @@ import a4csl.icosian as icosian
 from a4csl.csl import rotation_of
 from a4csl.errors import DomainError
 from a4csl.counting import prime_class_reps
+from a4csl.hnf import diagonal_product
 from a4csl.field import KNum, OInt, SQRT5, TAU, lcm_o, sqrt_o, tau_pow, unit_normalize
 from a4csl.icosian import (
     NORM_A_GRAM,
@@ -39,9 +40,6 @@ from a4csl.icosian import (
     den,
     extension,
     glcd,
-    is_admissible,
-    is_primitive,
-    is_unit,
     left_divides,
     left_ideal_rows,
     right_ideal,
@@ -117,23 +115,23 @@ def test_twist_stability():
 
 
 def test_primitivity_examples():
-    assert is_primitive(R_ICO)
+    assert R_ICO.is_primitive()
     # scaling by a unit of o (tau) keeps the content a unit; scaling by a
     # non-unit does not
-    assert is_primitive(R_ICO.scale_o(TAU))
-    assert not is_primitive(R_ICO.scale_o(OInt(2, 0)))
-    assert not is_primitive(R_ICO.scale_o(OInt(-1, 2)))  # sqrt5 scaling
-    assert is_primitive(Icosian.from_int(1))
+    assert R_ICO.scale_o(TAU).is_primitive()
+    assert not R_ICO.scale_o(OInt(2, 0)).is_primitive()
+    assert not R_ICO.scale_o(OInt(-1, 2)).is_primitive()  # sqrt5 scaling
+    assert Icosian.from_int(1).is_primitive()
     with pytest.raises(DomainError):
         Icosian.from_int(0).content()
 
 
 def test_admissibility_and_den():
-    assert is_admissible(R_ICO) and den(R_ICO) == 5
+    assert R_ICO.is_admissible() and den(R_ICO) == 5
     one = Icosian.from_int(1)
-    assert is_admissible(one) and den(one) == 1
+    assert one.is_admissible() and den(one) == 1
     tau_scalar = Icosian.from_o(TAU)
-    assert is_admissible(tau_scalar)
+    assert tau_scalar.is_admissible()
     assert den(tau_scalar.primitive_part()) == 1
     with pytest.raises(DomainError):
         den(R_ICO.scale_o(OInt(2, 0)))  # not primitive
@@ -145,7 +143,7 @@ def test_den_squared_is_norm_of_nr():
         if x.is_zero() or not x.is_primitive():
             continue
         n = x.nr().abs_norm()
-        if is_admissible(x):
+        if x.is_admissible():
             assert den(x) ** 2 == n
         else:
             assert isqrt(n) ** 2 != n
@@ -170,7 +168,7 @@ def test_extension_pair_relations():
     for q in [R_ICO, S_ICO] + [rand_icosian() for _ in range(200)] + extra:
         if q.is_zero() or not q.is_primitive():
             continue
-        if not is_admissible(q):
+        if not q.is_admissible():
             continue
         q_alpha, alpha = extension(q)
         m = q.nr()
@@ -199,10 +197,10 @@ def test_unit_group_structure():
 
 
 def test_is_unit_examples():
-    assert is_unit(ZB_ICO[1])  # i
-    assert is_unit(to_icosian(parse_quat("(1/2,1/2,1/2,1/2)")))
-    assert not is_unit(R_ICO)
-    assert is_unit(Icosian.from_o(TAU))  # unit of o, nr = tau^2
+    assert ZB_ICO[1].is_unit()  # i
+    assert to_icosian(parse_quat("(1/2,1/2,1/2,1/2)")).is_unit()
+    assert not R_ICO.is_unit()
+    assert Icosian.from_o(TAU).is_unit()  # unit of o, nr = tau^2
 
 
 def test_same_right_ideal():
@@ -216,15 +214,15 @@ def test_same_right_ideal():
 
 def test_right_ideal_examples():
     full = right_ideal([Icosian.from_int(1)])
-    assert full.index() == 1
+    assert diagonal_product(full.rows) == 1
     rid = right_ideal([R_ICO])
-    assert rid.index() == R_ICO.nr().abs_norm() ** 2 == 625
+    assert diagonal_product(rid.rows) == R_ICO.nr().abs_norm() ** 2 == 625
     again = right_ideal([R_ICO, Icosian.from_int(1)])
-    assert again.index() == 1
+    assert diagonal_product(again.rows) == 1
     # closed under right multiplication by I
     for zb in ZB_ICO:
-        for b in rid.basis():
-            assert rid.contains(b * zb)
+        for row in rid.rows:
+            assert rid.contains(Icosian(row) * zb)
 
 
 def test_glcd_examples():
@@ -273,17 +271,11 @@ def test_glcd_equal_examples():
 def test_rank8_module_sum():
     a = right_ideal([R_ICO])
     b = right_ideal([S_ICO])
-    s = a.sum(b)
-    assert s.index() <= min(a.index(), b.index())
+    s = Rank8Module.from_rows(a.rows + b.rows)
+    assert s == right_ideal([R_ICO, S_ICO])
+    assert diagonal_product(s.rows) <= min(diagonal_product(a.rows), diagonal_product(b.rows))
     for row in a.rows:
         assert s.contains(Icosian(row))
-
-
-def test_module_json():
-    m = right_ideal([R_ICO])
-    flat = m.to_json()
-    assert len(flat) == 64
-    assert Rank8Module.from_rows([flat[8 * i : 8 * i + 8] for i in range(8)]) == m
 
 
 def _inverse_route(d, x):
@@ -337,7 +329,7 @@ def _glcd_on_hnf_rows(p, beta):
     oracle: the least (trace value, sign-canonical coordinates)
     over the members of the ball whose nr has the module's norm."""
     mod = right_ideal([p, Icosian.from_o(beta)])
-    v = isqrt(mod.index())
+    v = isqrt(diagonal_product(mod.rows))
     gram = gram_of_basis(TRACE_GRAM, mod.rows)
     cands = []
     for coeffs, val in enumerate_form(gram, 2 * (1 + isqrt(5 * v - 1)), equal=False):
@@ -355,7 +347,7 @@ def test_glcd_matches_the_unreduced_basis_route():
     cases = [(q, OInt(den(q), 0)) for q in (R_ICO, S_ICO)]
     while len(cases) < 152:
         p = Icosian(tuple(glcd_rng.randint(-3, 3) for _ in range(8)))
-        if not p.is_zero() and is_primitive(p) and is_admissible(p):
+        if not p.is_zero() and p.is_primitive() and p.is_admissible():
             cases.append((p, OInt(den(p), 0)))
     for p, beta in cases:
         assert glcd(p, beta) == _glcd_on_hnf_rows(p, beta)
@@ -428,7 +420,7 @@ def test_glcd_routes_match_the_unreduced_basis_route(monkeypatch):
     def draw(admissible):
         while True:
             p = Icosian(tuple(glcd_rng.randint(-3, 3) for _ in range(8)))
-            if not p.is_zero() and (not admissible or is_primitive(p) and is_admissible(p)):
+            if not p.is_zero() and (not admissible or p.is_primitive() and p.is_admissible()):
                 return p
 
     routes = Counter()
@@ -705,8 +697,8 @@ def test_e8_coordinates_are_an_isometry():
     _E8_T^T = 4 NORM_A_GRAM and |det _E8_T| = 2^8, so that the zb_i are a
     basis of E8 (det NORM_A_GRAM = 1), and _E8_U = 4 _E8_T^-1."""
     assert _matrix_product(_E8_T, list(zip(*_E8_T))) == [[4 * v for v in row] for row in NORM_A_GRAM]
-    assert Rank8Module.from_rows(_E8_T).index() == 2**8
-    assert Rank8Module.from_rows(NORM_A_GRAM).index() == 1
+    assert diagonal_product(Rank8Module.from_rows(_E8_T).rows) == 2**8
+    assert diagonal_product(Rank8Module.from_rows(NORM_A_GRAM).rows) == 1
     assert _matrix_product(_E8_T, _E8_U) == [[4 * (i == j) for j in range(8)] for i in range(8)]
     for row in _E8_T:  # E8 = D8 u (D8 + 1/2), doubled
         assert len({v % 2 for v in row}) == 1 and sum(row) % 4 == 0
@@ -745,7 +737,7 @@ def _seeded_pairs(seed, count):
         if p.is_zero():
             continue
         kind = len(pairs) % 3
-        if kind == 0 and not (is_primitive(p) and is_admissible(p)):
+        if kind == 0 and not (p.is_primitive() and p.is_admissible()):
             continue
         if kind == 0:
             beta = OInt(den(p), 0)

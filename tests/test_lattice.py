@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from a4csl.errors import DomainError
 from a4csl.field import KNum, OInt
-from a4csl.hnf import hnf, hnf_square
+from a4csl.hnf import contains, hnf, hnf_square
 from a4csl.icosian import (
     ZB_ICO,
     Icosian,
@@ -25,16 +25,13 @@ from a4csl.lattice import (
     GRAM2,
     L_BASIS,
     SublatticeL,
-    conjugation_matrix_L,
     int_L_coords,
-    intersect,
-    lattice_sum,
     module_to_L,
     phi_plus_image,
     to_L_coords,
 )
 from a4csl.quaternion import Quat, parse_quat
-from test_hnf import left_kernel
+from test_hnf import intersect_rows, left_kernel
 from test_quaternion import phi_plus, twist
 from test_shortvec import gauss_jordan
 
@@ -47,6 +44,33 @@ CARTAN_A4 = (
     (0, -1, 2, -1),
     (0, 0, -1, 2),
 )
+
+# The HNF of L itself, and of k L.
+FULL = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+def scaled(k):
+    return tuple(tuple(k * v for v in row) for row in FULL)
+
+
+def conjugation_matrix_L():
+    """Matrix of quaternion conjugation restricted to L (column convention)."""
+    cols = [int_L_coords(b.conj()) for b in B_ICO]
+    assert None not in cols, "conjugation must preserve L"
+    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
+
+
+def meet(a, b):
+    return SublatticeL.from_integer_rows(intersect_rows(a.hnf, b.hnf))
+
+
+def join(a, b):
+    return SublatticeL.from_integer_rows(a.hnf + b.hnf)
+
+
+def includes(a, b):
+    """b is a sublattice of a."""
+    return all(contains(a.hnf, row) for row in b.hnf)
 
 
 def test_gram_is_half_cartan():
@@ -172,12 +196,10 @@ def test_hnf_canonicity_under_remixing():
 
 
 def test_intersect_and_sum_examples():
-    full = SublatticeL.full()
-    two = full.scaled(2)
-    three = full.scaled(3)
-    assert intersect(two, full).hnf == two.hnf
-    assert intersect(two, three).hnf == full.scaled(6).hnf
-    assert lattice_sum(two, three).hnf == full.hnf
+    full, two, three = SublatticeL(FULL), SublatticeL(scaled(2)), SublatticeL(scaled(3))
+    assert meet(two, full).hnf == two.hnf
+    assert meet(two, three).hnf == scaled(6)
+    assert join(two, three).hnf == FULL
 
 
 def rand_sublattice():
@@ -190,19 +212,18 @@ def rand_sublattice():
 def test_meet_join_containments_and_index_identity():
     for _ in range(40):
         a, b = rand_sublattice(), rand_sublattice()
-        meet = intersect(a, b)
-        join = lattice_sum(a, b)
-        assert a.contains(meet) and b.contains(meet)
-        assert join.contains(a) and join.contains(b)
+        m, j = meet(a, b), join(a, b)
+        assert includes(a, m) and includes(b, m)
+        assert includes(j, a) and includes(j, b)
         # [A : A^B] = [A+B : B] (second isomorphism theorem)
-        assert meet.index * join.index == a.index * b.index
+        assert m.index * j.index == a.index * b.index
 
 
 def test_module_to_L_examples():
     ident = right_ideal([Icosian.from_int(1)])
-    assert module_to_L(ident.rows).hnf == SublatticeL.full().hnf
+    assert module_to_L(ident.rows).hnf == FULL
     doubled = right_ideal([Icosian.from_int(2)])
-    assert module_to_L(doubled.rows).hnf == SublatticeL.full().scaled(2).hnf
+    assert module_to_L(doubled.rows).hnf == scaled(2)
 
 
 def _module_to_L_by_kernel(rows):
@@ -266,8 +287,8 @@ def test_module_to_L_refuses_a_meet_of_rank_below_4():
 
 
 def test_phi_plus_image_examples():
-    assert phi_plus_image(Icosian.from_int(1)).hnf == SublatticeL.full().hnf
-    assert phi_plus_image(Icosian.from_int(2)).hnf == SublatticeL.full().scaled(2).hnf
+    assert phi_plus_image(Icosian.from_int(1)).hnf == FULL
+    assert phi_plus_image(Icosian.from_int(2)).hnf == scaled(2)
     q = to_icosian(parse_quat("(1,2,0,0)"))
     lat = phi_plus_image(q)
     assert lat.index == 5
@@ -325,15 +346,6 @@ def test_phi_plus_table_matches_products(zc, scale):
 def test_phi_plus_image_refuses_zero():
     with pytest.raises(DomainError):
         phi_plus_image(Icosian.from_int(0))
-
-
-def test_serialization_refuses_bad_index():
-    lat = SublatticeL.full().scaled(3)
-    data = lat.to_json()
-    assert SublatticeL.from_json(data) == lat
-    data["index"] = 5
-    with pytest.raises(DomainError):
-        SublatticeL.from_json(data)
 
 
 def test_conjugation_matrix():
