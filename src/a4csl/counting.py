@@ -36,11 +36,12 @@ census(n) takes each class q to its CSL, the phi_plus image of q_alpha =
 alpha q, and keys it by its criterion ideal q I + beta I without building
 it: that ideal is the product of the heads of q times I, since locally I is
 a matrix ring and the ideals above q I form a chain (proof in _class_csls),
-so the head walks name it.  alpha and the primes that could
-make q imprimitive depend on nr(q) alone, so they are computed once per
-norm, and alpha is folded into that norm's table of the phi_plus images of
-the basis products.  census counts distinct CSL HNFs, checks the count
-against f(n) and the key partition against the HNF partition.
+so the head walks name it.  alpha depends on nr(q) alone, which the
+enumerator leaves with each class, so it is computed once per norm and
+folded into that norm's table of the phi_plus images of the basis
+products; primitivity is one integer content norm per class.  census
+counts distinct CSL HNFs, checks the count against f(n) and the key
+partition against the HNF partition.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from .icosian import (
     TRACE_GRAM,
     _apply8,
     _combine,
+    _content_norm,
     _left_rows,
     _orbit_min,
     _right_rows,
@@ -384,14 +386,18 @@ def enumerate_rotations(
 
     memo holds the generators and prime-power classes between calls that
     share it (census_table passes one per table); the budget is charged
-    for the searches that fill it.  memo[n] is left holding the key of
-    each class, in order, for census.
+    for the searches that fill it.  memo[n] is left holding, in order, the
+    reduced norm m of each class with its head walks, for census.
     """
     if memo is None:
         memo = {}
-    classes = [c for m in norm_candidates(n) for c in _class_reps_by_products(m, budget, memo)]
-    memo[n] = [key for _zc, key in classes]
-    return [Icosian(zc) for zc, _key in classes]
+    reps, norm_walks = [], []
+    for m in norm_candidates(n):
+        for zc, walks in _class_reps_by_products(m, budget, memo):
+            reps.append(Icosian(zc))
+            norm_walks.append((m, walks))
+    memo[n] = norm_walks
+    return reps
 
 
 @dataclass(frozen=True)
@@ -411,7 +417,7 @@ class SigmaCensus:
 def _norm_data(m: OInt, n: int):
     """What the CSL stage needs of a reduced norm m of index n: the table of
     q -> the rows of phi_plus(alpha q I) in L, nr(alpha q) = n (so m is
-    admissible), the unit-normal form of m and the primes whose square divides m."""
+    admissible), and the unit-normal form of m."""
     if lcm_o(m, m.conj()) != OInt(n, 0):
         raise AssertionError(f"lcm of {m} and its conjugate is not {n}")
     alpha = sqrt_o(OInt(n, 0).exact_div(m))
@@ -420,13 +426,14 @@ def _norm_data(m: OInt, n: int):
     table = _sparse(
         _combine(row, _phi_plus_table(), 32) for row in _left_rows(Icosian.from_o(alpha).zc)
     )
-    repeated = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
-    return table, unit_normalize(m)[0], repeated
+    return table, unit_normalize(m)[0]
 
 
-def _class_csls(n: int, reps: list[Icosian], walks):
-    """Yield (CSL, key) for each class rep q of index n with head walks w:
-    the CSL phi_plus_image(alpha q), the key the unit-normal nr(q) with w.
+def _class_csls(n: int, reps: list[Icosian], norm_walks):
+    """Yield (CSL, key) for each class rep q of index n with (m, w), m = nr(q)
+    as the enumerator built the class and w its head walks: the CSL
+    phi_plus_image(alpha q), the key the unit-normal m with w.  Nothing of
+    q but its coordinates is read: the per-norm data comes from m.
 
     w names qI + beta I = h_1*...*h_r*I, q = h_1*...*h_r*t_1*...*t_s.  At a
     prime pi^k of nr(q) (elsewhere both are I), I is M_2(o_pi) and xI, for
@@ -438,15 +445,15 @@ def _class_csls(n: int, reps: list[Icosian], walks):
     Conversely that ideal is h_1 I at the first prime, h_1 h_2 I at the
     second, and so on.  (Walk prefixes of q = w_1*...*w_r are no key: w_1
     enters the ideals at the later primes, and they split CSLs at n = 35.)
-    A prime dividing q divides nr(q) twice: repeated primes decide primitivity.
+    q is primitive iff the norm of its content ideal is 1 (_content_norm,
+    integer gcds of the coordinates).
     """
     per_norm = {}
-    for q, w in zip(reps, walks, strict=True):
-        m = q.nr()
+    for q, (m, w) in zip(reps, norm_walks, strict=True):
         if m not in per_norm:
             per_norm[m] = _norm_data(m, n)
-        table, key, repeated = per_norm[m]
-        if any(_divides(pi, q) for pi in repeated):
+        table, key = per_norm[m]
+        if _content_norm(q.zc) != 1:
             raise DomainError(f"class rep {q} is not primitive")
         lat = SublatticeL.from_integer_rows(_split(_combine(q.zc, table, 32), 4))
         if lat.index != n:

@@ -42,22 +42,20 @@ from .icosian import (
     Rank8Module,
     _balance,
     _combine,
-    _left_rows,
     _require_primitive,
     _sparse,
     _split,
     den,
     left_divides,
-    left_ideal_rows,
     right_ideal,
     same_right_ideal,
 )
 from .lattice import (
     B_ICO,
     SublatticeL,
+    _ideal_form_tables,
     _meet_from_block,
     int_L_coords,
-    module_to_L,
     phi_plus_image,
     rows_preserve_gram,
 )
@@ -182,8 +180,14 @@ def csl_Lq(rot: CoincidenceRotation) -> SublatticeL:
 
 
 def csl_ideal_form(rot: CoincidenceRotation) -> SublatticeL:
-    """The CSL as (q_alpha I + I twist(q_alpha)) n L."""
-    lat = module_to_L(_left_rows(rot.q_alpha.zc) + left_ideal_rows(rot.q_alpha.twist()))
+    """The CSL as (q_alpha I + I twist(q_alpha)) n L, read off the 16
+    generator rows in module_to_L's coordinates, which two composed tables
+    give linearly in q_alpha."""
+    zc = rot.q_alpha.zc
+    left, twist_right = _ideal_form_tables()
+    lat = _meet_from_block(
+        _split(_combine(zc, left, 64), 8) + _split(_combine(zc, twist_right, 64), 8)
+    )
     if lat.index != rot.sigma:
         raise DomainError(f"ideal-form index {lat.index} != sigma {rot.sigma}")
     return lat

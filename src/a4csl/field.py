@@ -504,6 +504,10 @@ def parse_knum(text: str) -> KNum:
         raise ParseError("empty number")
     if "_" in s:
         raise ParseError(f"cannot parse {text!r} as a+b*t: '_' is not a digit")
+    if "e" in s or "E" in s:
+        # Fraction reads exponents, so a few characters could ask for a
+        # number of any length: 1e20000 has 20001 digits.
+        raise ParseError(f"cannot parse {text!r} as a+b*t: numbers take no exponent")
     terms = []
     start = 0
     for i in range(1, len(s)):

@@ -615,13 +615,6 @@ def right_ideal(generators) -> Rank8Module:
     return Rank8Module.from_rows([row for g in gens for row in _left_rows(g.zc)])
 
 
-def left_ideal_rows(g: Icosian) -> list[tuple[int, ...]]:
-    """Z-generators of I*g."""
-    if g.is_zero():
-        raise DomainError("left ideal needs a nonzero generator")
-    return _right_rows(g.zc)
-
-
 def left_divides(d: Icosian, x: Icosian) -> bool:
     """d^-1 x in I, i.e. nr(d) divides every o-coordinate of conj(d) x."""
     if d.is_zero():

@@ -19,7 +19,20 @@ from operator import mul
 
 from .errors import DomainError
 from .hnf import _lower_block, hnf, hnf_square, diagonal_product
-from .icosian import NORM_A_GRAM, NORM_B_GRAM, ZB_ICO, Icosian, _combine, _sparse, _split, _table_zc, _zc_of_o4
+from .icosian import (
+    NORM_A_GRAM,
+    NORM_B_GRAM,
+    ZB_ICO,
+    Icosian,
+    _TW8,
+    _combine,
+    _left_rows,
+    _right_rows,
+    _sparse,
+    _split,
+    _table_zc,
+    _zc_of_o4,
+)
 from .quaternion import Quat, _cleared
 from .shortvec import gram_of_basis
 
@@ -116,6 +129,24 @@ def module_to_L(rows) -> SublatticeL:
     (coordinates in I): the meet read off one HNF of the rows under the
     change of coordinates _TO_L."""
     return _meet_from_block([_combine(r, _TO_L, 8) for r in rows])
+
+
+@lru_cache(maxsize=1)
+def _ideal_form_tables():
+    """Row i: the _TO_L images of zb_i * zb_j, and of zb_j * twist(zb_i),
+    j = 0..7, one after the other (64 integers), as two _sparse tables.
+
+    Products, twist and _TO_L are Z-linear, so _combine(q.zc, table, 64)
+    gives, 8 integers a row, the generator rows of q I (and of I twist(q))
+    as module_to_L maps them: the rows of the ideal form of the CSL.
+    """
+
+    def to_L(rows):
+        return [v for r in rows for v in _combine(r, _TO_L, 8)]
+
+    left = _sparse(to_L(_left_rows(z.zc)) for z in ZB_ICO)
+    twist_right = _sparse(to_L(_right_rows(tw)) for tw in _TW8)
+    return left, twist_right
 
 
 @lru_cache(maxsize=1)

@@ -14,6 +14,7 @@ from a4csl.icosian import (
     NORM_A_GRAM,
     TRACE_GRAM,
     _apply8,
+    _content_norm,
     _orbit,
     _orbit_bits,
     _orbit_blocks,
@@ -112,18 +113,25 @@ def icosians_with_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[
     )
 
 
+def _repeated_prime_divides(q: Icosian, m: OInt, factors: dict) -> bool:
+    """The oracle of the CSL stage's primitivity test: some prime whose
+    square divides m = nr(q) divides every coordinate of q (a prime
+    dividing q divides nr(q) twice).  factors caches factor_o by norm."""
+    if m not in factors:
+        factors[m] = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
+    return any(all(pi.divides(c) for c in q.coords()) for pi in factors[m])
+
+
 def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
     """One coordinate vector per right-ideal class with nr exactly m, by
     short-vector search over all icosians of that norm: the primitive ones,
     and of those the first of each unit orbit in sorted order."""
-    vecs = icosians_with_norm(m, budget)
-    repeated = [pi for pi, e, _tag in factor_o(m).factors if e >= 2]
-    if repeated:
-        vecs = [
-            zc
-            for zc in vecs
-            if not any(all(pi.divides(c) for c in Icosian(zc).coords()) for pi in repeated)
-        ]
+    factors = {}
+    vecs = [
+        zc
+        for zc in icosians_with_norm(m, budget)
+        if not _repeated_prime_divides(Icosian(zc), m, factors)
+    ]
     # The search yields each +-pair once, last nonzero coordinate positive,
     # which is the sign normalisation of the orbit members.
     seen: set[tuple[int, ...]] = set()
@@ -581,11 +589,12 @@ def test_enumeration_complete_vs_exhaustive_scan(reps_by_index):
 
 def _keyed_classes(n, keep=None):
     """The classes of index n (of the norms m with keep(m)), as
-    enumerate_rotations lists them, with the head walks census keys them by."""
+    enumerate_rotations lists them, with (m, head walks) as it leaves them
+    for census."""
     memo = {}
     norms = [m for m in norm_candidates(n) if keep is None or keep(m)]
-    pairs = [c for m in norms for c in _class_reps_by_products(m, None, memo)]
-    return [Icosian(zc) for zc, _walks in pairs], [walks for _zc, walks in pairs]
+    pairs = [(zc, (m, w)) for m in norms for zc, w in _class_reps_by_products(m, None, memo)]
+    return [Icosian(zc) for zc, _norm_walks in pairs], [norm_walks for _zc, norm_walks in pairs]
 
 
 def _partition(labels):
@@ -608,17 +617,17 @@ def test_census_stage_matches_public_routes(reps_by_index):
     key has depth 1 of 2 there, 11 classes to a key)."""
     cases = {n: _keyed_classes(n) for n in reps_by_index}
     cases[121] = _keyed_classes(121, lambda m: m != OInt(121, 0))
-    for n, (reps, walks) in cases.items():
+    for n, (reps, norm_walks) in cases.items():
         if n in reps_by_index:
             assert [q.zc for q in reps] == [q.zc for q in reps_by_index[n]]
-        stage = list(_class_csls(n, reps, walks))
+        stage = list(_class_csls(n, reps, norm_walks))
         assert len(stage) == len(reps)
         for q, (lat, (key, _walks)) in zip(reps, stage):
             assert lat.hnf == phi_plus_image(extension(q)[0]).hnf, (n, q.zc)
             assert key == unit_normalize(q.nr())[0]
         assert _partition(key for _lat, key in stage) == _criterion_partition(reps), n
-    reps, walks = cases[121]
-    assert len({(q.nr(), w) for q, w in zip(reps, walks)}) == 24
+    reps, norm_walks = cases[121]
+    assert len({(q.nr(), w) for q, (_m, w) in zip(reps, norm_walks)}) == 24
 
 
 @pytest.mark.parametrize(
@@ -636,8 +645,8 @@ def test_walk_keys_partition_as_criterion_ideals(n, keep):
     partition the classes as the 16-row HNF of q I + beta I does, where
     the norm has a prime of depth j < k (sqrt5, or the larger power of a
     split p) and, at 605, two of them."""
-    reps, walks = _keyed_classes(n, keep)
-    keys = [(unit_normalize(q.nr())[0], w) for q, w in zip(reps, walks)]
+    reps, norm_walks = _keyed_classes(n, keep)
+    keys = [(unit_normalize(q.nr())[0], w) for q, (_m, w) in zip(reps, norm_walks)]
     assert _partition(keys) == _criterion_partition(reps)
 
 
@@ -649,8 +658,8 @@ def test_census_split_square_matches_f(monkeypatch):
     stage = counting._class_csls
     keys = []
 
-    def recorded(n, reps, walks):
-        for lat, key in stage(n, reps, walks):
+    def recorded(n, reps, norm_walks):
+        for lat, key in stage(n, reps, norm_walks):
             keys.append(key)
             yield lat, key
 
@@ -662,10 +671,30 @@ def test_census_split_square_matches_f(monkeypatch):
 def test_census_stage_refuses_bad_reps():
     # nr(2) = 4 has index 4, but 2 divides every coordinate
     with pytest.raises(DomainError, match="not primitive"):
-        list(_class_csls(4, [Icosian.from_int(2)], [((0,),)]))
+        list(_class_csls(4, [Icosian.from_int(2)], [(OInt(4, 0), ((0,),))]))
     # a unit has index 1, not 3
     with pytest.raises(AssertionError):
-        list(_class_csls(3, [Icosian.from_int(1)], [()]))
+        list(_class_csls(3, [Icosian.from_int(1)], [(OInt(1, 0), ())]))
+
+
+def test_enumerator_norms_and_content_primitivity():
+    """For every class of index n <= 25, the norm m the enumerator leaves
+    for census is nr(q), and the content-norm test the CSL stage runs
+    agrees with the repeated-prime test: on q, and on pi*q for each prime
+    pi dividing m, which no census rep may be."""
+    memo, factors, seen = {}, {}, 0
+    for n in range(1, 26):
+        reps = enumerate_rotations(n, memo=memo)
+        norm_walks = memo.pop(n)
+        assert len(norm_walks) == len(reps)
+        for q, (m, _w) in zip(reps, norm_walks):
+            assert m == q.nr(), (n, q.zc)
+            assert _content_norm(q.zc) == 1 and not _repeated_prime_divides(q, m, factors)
+            for pi, _e, _tag in factor_o(m).factors:
+                x = q.scale_o(pi)
+                assert _content_norm(x.zc) != 1 and _repeated_prime_divides(x, x.nr(), factors)
+            seen += 1
+    assert seen == 6910
 
 
 def test_census_refuses_a_key_partition_that_splits_a_csl(monkeypatch):
@@ -674,8 +703,8 @@ def test_census_refuses_a_key_partition_that_splits_a_csl(monkeypatch):
     6 CSLs of index 5, 5 classes each, but mixes two blocks."""
     stage = counting._class_csls
 
-    def swapped(n, reps, keys):
-        keys = list(keys)
+    def swapped(n, reps, norm_walks):
+        keys = list(norm_walks)
         i = next(i for i, key in enumerate(keys) if key != keys[0])
         keys[0], keys[i] = keys[i], keys[0]
         return stage(n, reps, keys)

@@ -302,9 +302,11 @@ def test_parse_knum_refuses_a_bare_star_and_underscores(text):
         parse_knum(text)
 
 
-def test_parse_knum_keeps_decimals_exponents_and_repeated_signs():
+def test_parse_knum_keeps_decimals_and_repeated_signs_refuses_exponents():
     assert parse_knum("1.5") == KNum.of(Fraction(3, 2))
-    assert parse_knum("1e3") == KNum.of(1000)
+    for text in ("1e3", "1E3", "2.5e-1*t", "1+1e20000t"):
+        with pytest.raises(ParseError, match="no exponent"):
+            parse_knum(text)
     assert parse_knum("1+-t") == KNum(Fraction(1), Fraction(-1))
     assert parse_knum("--1") == KNum.of(1)
     assert parse_knum("2t") == parse_knum("2*t") == KNum(Fraction(0), Fraction(2))

@@ -12,13 +12,15 @@ from a4csl.icosian import (
     Icosian,
     _combine,
     _left_rows,
+    _right_rows,
+    _split,
     extension,
-    left_ideal_rows,
     right_ideal,
     to_icosian,
 )
 from a4csl.lattice import (
     _TO_L,
+    _ideal_form_tables,
     B_ICO,
     B_ZC,
     GRAM,
@@ -266,7 +268,7 @@ def test_module_to_L_matches_the_kernel_route():
         if p.is_admissible():
             two_sided_generators.append(extension(p)[0])
     for g in two_sided_generators:
-        two_sided = _left_rows(g.zc) + left_ideal_rows(g.twist())
+        two_sided = _left_rows(g.zc) + _right_rows(g.twist().zc)
         assert module_to_L(two_sided).hnf == _module_to_L_by_kernel(two_sided)
     full_rank = 0
     while full_rank < 40:
@@ -274,6 +276,22 @@ def test_module_to_L_matches_the_kernel_route():
         if len(hnf(rows)) == 8:
             full_rank += 1
             assert module_to_L(rows).hnf == _module_to_L_by_kernel(rows)
+
+
+def test_ideal_form_tables_compose_the_rows_and_to_L():
+    """The rows csl_ideal_form reads off the composed tables are the
+    generator rows of q I and I twist(q) mapped through _TO_L one at a
+    time, on a seeded pool of random icosians and admissible extensions."""
+    left, twist_right = _ideal_form_tables()
+    pool = [_random_icosian() for _ in range(60)]
+    while len(pool) < 100:
+        p = _random_icosian().primitive_part()
+        if p.is_admissible():
+            pool.append(extension(p)[0])
+    for q in pool:
+        composed = _split(_combine(q.zc, left, 64), 8) + _split(_combine(q.zc, twist_right, 64), 8)
+        rows = _left_rows(q.zc) + _right_rows(q.twist().zc)
+        assert [tuple(_combine(r, _TO_L, 8)) for r in rows] == composed
 
 
 def test_module_to_L_refuses_a_meet_of_rank_below_4():
