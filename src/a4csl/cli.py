@@ -243,7 +243,8 @@ def cmd_selftest(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="a4csl", description=__doc__)
-    ap.add_argument("--output", choices=("json", "csv", "text"), default="text")
+    ap.add_argument("--output", choices=("json", "csv", "text"), default="text",
+                    help="csv is honoured by census and dirichlet; other verbs print text")
     ap.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; enumeration is serial")
     ap.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,

@@ -21,10 +21,19 @@ classes of m are the products of one walk per prime, split into a head and
 a tail (_class_reps_by_products).  All products of m share one nr, so one
 power of tau, found once per norm, scales them to reduced norm m; each is
 then replaced by the least vector of its orbit under the 120 norm-1 units,
-taken with its last nonzero coordinate positive (class_rep's form): the
+taken with its last nonzero coordinate positive (_orbit_min's form): the
 first vector of its class that a full sorted short-vector search meets.
 Class counts are checked against the local ideal counts N(pi)^k +
-N(pi)^(k-1).
+N(pi)^(k-1), and the orbit minima against each other: no two products may
+give one class.
+
+census takes the classes of a tail-free norm (every prime at full depth
+j = k) as the scaled products themselves, in walk order, with no orbit
+minima.  There each product carries its own criterion key, its head walks,
+so two products in one class would give one CSL HNF under two keys, which
+the HNF -> key map of census refuses; distinctness is checked all the same.
+Only where a norm has a tail do several classes share one head key, and
+only there are the orbit minima computed and compared.
 
 The packed kernel icosian._orbit_min computes the orbit minima for these
 representatives and for the class keys of the generator search: 60 units,
@@ -48,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .errors import BudgetError, DomainError
@@ -100,18 +108,17 @@ def f_prime_power(p: int, r: int) -> int:
         return 6 * 5 ** (2 * r - 2)
     if p % 5 in (2, 3):
         return (p * p + 1) * p ** (2 * r - 2)
-    pre = Fraction((p + 1) ** 2, p**3 - 1)
+    # (p+1)^2 / (p^3-1) * (p^(2r+1) + p^(2r-2) - c), c = 2 p^((r-1)/2) for
+    # odd r and 2 (p^2+1)/(p+1) p^((r-2)/2) for even r
+    num = (p + 1) ** 2 * (p ** (2 * r + 1) + p ** (2 * r - 2))
     if r % 2:
-        val = pre * (p ** (2 * r + 1) + p ** (2 * r - 2) - 2 * p ** ((r - 1) // 2))
+        num -= 2 * (p + 1) ** 2 * p ** ((r - 1) // 2)
     else:
-        val = pre * (
-            p ** (2 * r + 1)
-            + p ** (2 * r - 2)
-            - 2 * Fraction(p * p + 1, p + 1) * p ** ((r - 2) // 2)
-        )
-    if val.denominator != 1:
-        raise AssertionError(f"f({p}^{r}) must be an integer, got {val}")
-    return int(val)
+        num -= 2 * (p + 1) * (p * p + 1) * p ** ((r - 2) // 2)
+    val, rem = divmod(num, p**3 - 1)
+    if rem:
+        raise AssertionError(f"f({p}^{r}) must be an integer, got {num}/{p**3 - 1}")
+    return val
 
 
 def f(n: int) -> int:
@@ -229,7 +236,7 @@ def norm_candidates(n: int) -> list[OInt]:
 def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
     """One coordinate vector per right-ideal class with nr exactly pi, a
     totally positive prime of o or 1: the generators of the enumeration,
-    sorted, each the least of its class (class_rep's form).
+    sorted, each the least of its class (_orbit_min's form).
 
     The right ideals of norm pi are the N(pi)+1 lines of I/pi*I, a matrix
     ring over o/pi (1 ideal, I itself, for pi = 1), and each is principal,
@@ -261,20 +268,6 @@ def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[i
     if len(keys) != expected:
         raise AssertionError(f"nr {pi}: {len(keys)} classes, the ideal count is {expected}")
     return sorted(keys)
-
-
-def class_rep(q: Icosian) -> tuple[int, ...]:
-    """The coordinate vector enumerate_rotations lists for the class q*I.
-
-    q is scaled by a power of tau so that nr is its norm candidate; the
-    result is the least vector of the orbit under right multiplication by
-    the 120 norm-1 units whose last nonzero coordinate is positive (the
-    first one a full sorted short-vector search meets).
-    """
-    if q.is_zero():
-        raise DomainError("the zero icosian has no class")
-    j = _norm_candidate(q.nr())[1]
-    return _orbit_min(q.scale_o(tau_pow(-j)).zc if j else q.zc)
 
 
 def _totally_positive(pi: OInt) -> OInt:
@@ -312,7 +305,7 @@ def _divides(pi: OInt, x: Icosian) -> bool:
 
 
 def _class_reps_by_products(
-    m: OInt, budget: NodeBudget | None, memo: dict
+    m: OInt, budget: NodeBudget | None, memo: dict, least: bool = True
 ) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
     """(rep, head walks) per right-ideal class with nr exactly m, sorted by
     rep, the least vector of the class.  With beta as in csl.criterion_ideal,
@@ -320,7 +313,11 @@ def _class_reps_by_products(
     sqrt5 and the larger power of a split p).  The classes are the products
     of one head per prime, a walk of depth j, and one tail per prime with
     j < k, a walk of depth k - j that continues the head (pi does not
-    divide the product)."""
+    divide the product).
+
+    With least False and no tail, rep is the scaled product itself, in walk
+    order: each class has its own head walks, and census checks them
+    against the CSL HNFs (module docstring)."""
     if m == ONE_O:
         # Searched like the generators, so that index 1 is charged to the
         # budget (a budget below 8 nodes truncates a census before n = 1).
@@ -370,30 +367,40 @@ def _class_reps_by_products(
     if j:
         scale = _left_rows(Icosian.from_o(tau_pow(-j)).zc)
         zcs = [_apply8(zc, scale) for zc in zcs]
-    classes = sorted(zip(map(_orbit_min, zcs), (walks for _q, walks in products)))
-    if len(classes) != expected:
-        raise AssertionError(f"nr {m}: {len(classes)} classes, the ideal count is {expected}")
+    if len(zcs) != expected:
+        raise AssertionError(f"nr {m}: {len(zcs)} classes, the ideal count is {expected}")
+    walks = [w for _q, w in products]
+    if not (least or cut):
+        return list(zip(zcs, walks))
+    classes = sorted(zip(map(_orbit_min, zcs), walks))
     if len({rep for rep, _key in classes}) != len(classes):
         raise AssertionError(f"nr {m}: two products give the same class")
     return classes
 
 
 def enumerate_rotations(
-    n: int, *, budget: NodeBudget | None = None, memo: dict | None = None
+    n: int,
+    *,
+    budget: NodeBudget | None = None,
+    memo: dict | None = None,
+    least: bool = True,
 ) -> list[Icosian]:
     """One primitive admissible icosian per coincidence rotation class
-    (right-ideal class) with coincidence index n.
+    (right-ideal class) with coincidence index n: the least vector of each
+    class, sorted within each norm candidate.
 
     memo holds the generators and prime-power classes between calls that
     share it (census_table passes one per table); the budget is charged
     for the searches that fill it.  memo[n] is left holding, in order, the
-    reduced norm m of each class with its head walks, for census.
+    reduced norm m of each class with its head walks, for census.  census
+    passes least=False: the classes of a tail-free norm are then the
+    products as built, whose distinctness census checks by their CSLs.
     """
     if memo is None:
         memo = {}
     reps, norm_walks = [], []
     for m in norm_candidates(n):
-        for zc, walks in _class_reps_by_products(m, budget, memo):
+        for zc, walks in _class_reps_by_products(m, budget, memo, least):
             reps.append(Icosian(zc))
             norm_walks.append((m, walks))
     memo[n] = norm_walks
@@ -469,7 +476,7 @@ def census(n: int, *, budget: NodeBudget | None = None, memo: dict | None = None
     is passed on to enumerate_rotations.
     """
     memo = {} if memo is None else memo
-    reps = enumerate_rotations(n, budget=budget, memo=memo)
+    reps = enumerate_rotations(n, budget=budget, memo=memo, least=False)
     by_key, by_hnf = {}, {}
     for lat, key in _class_csls(n, reps, memo.pop(n)):
         if by_key.setdefault(key, lat.hnf) != lat.hnf or by_hnf.setdefault(lat.hnf, key) != key:

@@ -485,7 +485,7 @@ def unit_right_mul_matrices() -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 # One kernel computes the least member of the unit orbit of x, each member
-# taken with its last nonzero coordinate positive (counting's class_rep and
+# taken with its last nonzero coordinate positive (counting's class reps and
 # generator keys) or its first (glcd).  x*(-u) = -(x*u), so 60 units, one per
 # +-pair, give every sign-normalised member.  For y = x*u_t and B = 2^b, unit
 # t owns two signed base-B numbers of W = 8b bits: F_t = sum y_k B^(7-k),

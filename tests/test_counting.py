@@ -20,6 +20,7 @@ from a4csl.icosian import (
     _orbit_blocks,
     _orbit_min,
     _orbit_packing,
+    _right_rows,
     _unit_matrices,
     extension,
     sigma_index,
@@ -31,11 +32,12 @@ from a4csl.counting import (
     NodeBudget,
     _class_csls,
     _class_reps_by_products,
+    _local_euler_series,
+    _norm_candidate,
     _totally_positive,
     census,
     census_csv,
     census_table,
-    class_rep,
     dirichlet_coeffs,
     enumerate_rotations,
     euler_product_coeffs,
@@ -61,11 +63,15 @@ def test_f_prime_power_examples():
 
 
 def test_f_prime_power_split_branch_is_integral():
+    """The closed form, one exact integer division in the split branch,
+    against the local Euler factor, for every prime below 200 (all four
+    splitting cases: 5, p = +-2 and p = +-1 mod 5)."""
     for p in range(2, 200):
-        if not is_prime(p) or p % 5 not in (1, 4):
+        if not is_prime(p):
             continue
+        series = _local_euler_series(p, 6)
         for r in range(1, 7):
-            assert f_prime_power(p, r) > 0  # integrality asserted inside
+            assert f_prime_power(p, r) == series[r], (p, r)
 
 
 def test_f_examples():
@@ -487,6 +493,15 @@ def admissible_primitive(draw):
     return q.primitive_part()
 
 
+def class_rep(q: Icosian) -> tuple[int, ...]:
+    """The coordinate vector enumerate_rotations lists for the class q*I:
+    q scaled by a power of tau to its norm candidate, then the least vector
+    of its orbit under the 120 norm-1 units with last nonzero coordinate
+    positive (the first one a full sorted short-vector search meets)."""
+    j = _norm_candidate(q.nr())[1]
+    return _orbit_min(q.scale_o(tau_pow(-j)).zc if j else q.zc)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     admissible_primitive(),
@@ -712,6 +727,48 @@ def test_census_refuses_a_key_partition_that_splits_a_csl(monkeypatch):
     monkeypatch.setattr(counting, "_class_csls", swapped)
     with pytest.raises(AssertionError, match="criterion dedup disagrees"):
         census(5)
+
+
+def test_census_refuses_two_generators_in_one_class(monkeypatch):
+    """Where a norm has no tail, census names classes by the products as
+    built, and their distinctness rests on the CSLs: a generator of 3
+    replaced by a right-unit multiple of another is a new vector of an old
+    class under a new key, so one CSL HNF comes under two keys.  The
+    sorted least vectors of enumerate_rotations refuse it by themselves."""
+    search = counting.prime_class_reps
+    u = next(u for u in unit_group() if u.zc[1:] != (0,) * 7)
+
+    def doubled(pi, budget=None):
+        reps = search(pi, budget)
+        if pi == OInt(3, 0):
+            reps[1] = _apply8(reps[0], _right_rows(u.zc))
+        return reps
+
+    monkeypatch.setattr(counting, "prime_class_reps", doubled)
+    with pytest.raises(AssertionError, match="criterion dedup disagrees with HNF dedup"):
+        census(3)
+    with pytest.raises(AssertionError, match="two products give the same class"):
+        enumerate_rotations(3)
+
+
+def test_census_refuses_a_repeated_tail(monkeypatch):
+    """Where a norm has a tail, classes share head keys, so census compares
+    the orbit minima: at 5 = sqrt5^2 (head and tail of depth 1) a repeated
+    tail keeps the 30 classes but gives one head the same product twice."""
+    build = counting._prime_power_classes
+    calls = []
+
+    def repeated(pi, k, budget, memo):
+        part = build(pi, k, budget, memo)
+        calls.append((pi, k))
+        if len(calls) == 2:  # the tail, after the head of the same prime
+            part = [part[0], part[0], *part[2:]]
+        return part
+
+    monkeypatch.setattr(counting, "_prime_power_classes", repeated)
+    with pytest.raises(AssertionError, match="two products give the same class"):
+        census(5)
+    assert calls[0] == calls[1]
 
 
 def _primitive_ideal_count(n: int) -> int:
