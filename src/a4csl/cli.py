@@ -3,13 +3,14 @@
 Verbs: rot, csl, equal, enumerate, census, dirichlet, selftest.  Output is
 deterministic (byte-identical across repeated runs); all numbers are
 printed exactly.  Exit codes: 0 success, 2 parse error,
-3 domain precondition, 4 budget exceeded.
+3 domain precondition, 4 budget exceeded, 5 stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import BudgetError, DomainError, ParseError
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 5
 
 
 def _parse_icosian(text: str, coords: bool) -> Icosian:
@@ -244,7 +246,8 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="a4csl", description=__doc__)
     ap.add_argument("--output", choices=("json", "csv", "text"), default="text",
-                    help="csv is honoured by census and dirichlet; other verbs print text")
+                    help="json is honoured by every verb but selftest, csv by census and "
+                         "dirichlet; the others print text")
     ap.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; enumeration is serial")
     ap.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
@@ -305,7 +308,14 @@ def _run(argv) -> int:
     if args.budget < 0:
         ap.error(f"argument --budget: must be at least 0, got {args.budget}")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`a4csl ... | head`).  Send what is left
+        # to devnull, so that the flush at exit raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

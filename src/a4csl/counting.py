@@ -12,20 +12,27 @@ reduced norms m (totally positive, lcm(m, m') = n, one representative per
 tau^2-scaling orbit) and build the classes of each m from the primes pi of
 o that divide it.  The N(pi)+1 classes of norm pi (the generators) come
 from one short-vector search each that stops as soon as they are complete
-(prime_class_reps): the class of each new vector x brings those of u*x
-for every norm-1 unit u, so only a few vectors are drawn and the node
-budget pays for no more.  The classes of norm pi^k are the products q*g of
-a class q of norm pi^(k-1) with a generator g that pi does not divide
-(non-backtracking walks on the Bruhat-Tits tree, so none repeats).  The
-classes of m are the products of one walk per prime, split into a head and
-a tail (_class_reps_by_products).  All products of m share one nr, so one
-power of tau, found once per norm, scales them to reduced norm m; each is
-then replaced by the least vector of its orbit under the 120 norm-1 units,
-taken with its last nonzero coordinate positive (_orbit_min's form): the
-first vector of its class that a full sorted short-vector search meets.
-Class counts are checked against the local ideal counts N(pi)^k +
-N(pi)^(k-1), and the orbit minima against each other: no two products may
-give one class.
+(prime_class_reps): the class of each new vector x brings those of u*x for
+every norm-1 unit u, so only a few vectors are drawn and the node budget
+pays for no more.  That unit orbit comes from a walk under two generating
+units, two orbit minima per class, while at most 30 classes of the norm
+are unfound (the orbit then holds at most 30), and from a sweep over 60
+units, 60 orbit minima, otherwise.  The classes of norm pi^k are the
+products q*g of a class q of norm pi^(k-1) with a generator g that pi does
+not divide (non-backtracking walks on the Bruhat-Tits tree, so none
+repeats).  That divisibility is one integer test per prime, set up once
+(_multiple_test): p divides the 8 coordinates for pi = p inert, and
+otherwise each a_i + r b_i, for the integer r = tau mod pi.  The classes
+of m are the products of one walk per prime, split into a head and a tail
+(_class_reps_by_products).  All products of m share one nr, so one power
+of tau, found once per norm, scales them to reduced norm m; being
+central, it is applied once to each entry of the first part, not to each
+product.  Each product is then replaced by the least vector of its orbit
+under the 120 norm-1 units, taken with its last nonzero coordinate positive
+(_orbit_min's form): the first vector of its class that a full sorted
+short-vector search meets.  Class counts are checked against the local
+ideal counts N(pi)^k + N(pi)^(k-1), and the orbit minima against each
+other: no two products may give one class.
 
 census takes the classes of a tail-free norm (every prime at full depth
 j = k) as the scaled products themselves, in walk order, with no orbit
@@ -233,6 +240,25 @@ def norm_candidates(n: int) -> list[OInt]:
     return out
 
 
+# A walk costs two orbit minima per class of the orbit, a sweep 60.
+_WALK_MAX = 30
+
+
+def _unit_walk(zc: tuple[int, ...], key: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The keys of the classes u*x*I over the norm-1 units u, key that of x,
+    reached by left multiplication with the two generating units."""
+    orbit, frontier, gens = {key}, [zc], _unit_matrices().walk
+    while frontier:
+        y = frontier.pop()
+        for rows in gens:
+            z = _apply8(y, rows)
+            k = _orbit_min(z)
+            if k not in orbit:
+                orbit.add(k)
+                frontier.append(z)
+    return orbit
+
+
 def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
     """One coordinate vector per right-ideal class with nr exactly pi, a
     totally positive prime of o or 1: the generators of the enumeration,
@@ -243,12 +269,15 @@ def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[i
     x*I with nr(x) = pi; its generators of nr exactly pi are the x*u over the
     norm-1 units u, so the key _orbit_min(x) names the ideal.  The search
     over the icosians of nr pi is consumed lazily: for each x with a new key
-    the keys of u*x over the 60 units u (one per +-pair, -u*x = -(u*x)) join
-    too, since nr(u*x) = pi and left multiplication by a unit permutes the
-    right ideals of norm pi.  N(pi)+1 distinct keys are then every class,
-    and the search stops there: the budget is charged only for the nodes
-    before that point.  A search that ends short of them, or more keys than
-    ideals, raises.
+    the keys of u*x over the norm-1 units u join too, since nr(u*x) = pi and
+    left multiplication by a unit permutes the right ideals of norm pi.
+    While at most _WALK_MAX classes are unfound, so is that orbit, and a
+    walk under two generating units finds it (_unit_walk); otherwise a sweep
+    over 60 units u, one per +-pair (-u*x = -(u*x)), does.  Both give the
+    whole orbit, so the search stops at the same vector either way.
+    N(pi)+1 distinct keys are then every class, and the search stops there:
+    the budget is charged only for the nodes before that point.  A search
+    that ends short of them, or more keys than ideals, raises.
     """
     if not pi.is_totally_positive():
         raise DomainError("reduced norms are totally positive")
@@ -259,10 +288,15 @@ def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[i
     search = enumerate_two_forms(NORM_A_GRAM, 2 * pi.a, TRACE_GRAM, 2 * pi.trace(), budget=budget)
     try:
         for zc in search:
-            if _orbit_min(zc) not in keys:
+            key = _orbit_min(zc)
+            if key in keys:
+                continue
+            if expected - len(keys) <= _WALK_MAX:
+                keys |= _unit_walk(zc, key)
+            else:
                 keys.update(_orbit_min(_apply8(zc, mat)) for mat in _unit_matrices().lefts)
-                if len(keys) >= expected:
-                    break
+            if len(keys) >= expected:
+                break
     finally:
         search.close()
     if len(keys) != expected:
@@ -277,9 +311,10 @@ def _totally_positive(pi: OInt) -> OInt:
 
 def _prime_power_classes(
     pi: OInt, k: int, budget: NodeBudget | None, memo: dict
-) -> list[tuple[Icosian, tuple[int, ...]]]:
-    """One icosian g_1*...*g_k of nr pi^k per right-ideal class, pi totally
-    positive prime, with its walk: the indices of the generators g_i.
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The coordinates of one icosian g_1*...*g_k of nr pi^k per right-ideal
+    class, pi totally positive prime, with its walk: the indices of the
+    generators g_i.
 
     k = 1 is one stopped short-vector search; higher powers extend each
     class of pi^(k-1) by every generator and drop the one backtracking
@@ -288,20 +323,29 @@ def _prime_power_classes(
     key = (pi, k)
     if key not in memo:
         if k == 1:
-            memo[key] = [(Icosian(zc), (t,)) for t, zc in enumerate(prime_class_reps(pi, budget))]
+            memo[key] = [(zc, (t,)) for t, zc in enumerate(prime_class_reps(pi, budget))]
         else:
-            gens = [_right_rows(g.zc) for g, _ in _prime_power_classes(pi, 1, budget, memo)]
+            gens = [_right_rows(g) for g, _ in _prime_power_classes(pi, 1, budget, memo)]
+            divides = _multiple_test(pi)
             memo[key] = [
                 (x, walk + (t,))
                 for q, walk in _prime_power_classes(pi, k - 1, budget, memo)
                 for t, rows in enumerate(gens)
-                if not _divides(pi, x := Icosian(_apply8(q.zc, rows)))
+                if not divides(x := _apply8(q, rows))
             ]
     return memo[key]
 
 
-def _divides(pi: OInt, x: Icosian) -> bool:
-    return all(pi.divides(c) for c in x.coords())
+def _multiple_test(pi: OInt):
+    """The test that the prime pi of o divides the icosian of coordinates zc,
+    i.e. each o-coordinate a_i + b_i tau: for pi = p inert, p | a_i, b_i;
+    else o/pi = Z/p, p = N(pi), where tau = r = -a/b for pi = a + b tau."""
+    n = pi.abs_norm()
+    p = isqrt(n)
+    if p * p == n:
+        return lambda zc: not any(v % p for v in zc)
+    r = -pi.a * pow(pi.b, -1, n) % n
+    return lambda zc: not any((zc[i] + r * zc[i + 4]) % n for i in range(4))
 
 
 def _class_reps_by_products(
@@ -335,44 +379,42 @@ def _class_reps_by_products(
         heads.append(_prime_power_classes(pi, j, budget, memo))
         if j < k:
             tails.append(_prime_power_classes(pi, k - j, budget, memo))
-            cut.append(pi)
+            cut.append(_multiple_test(pi))
         nr = nr * pi**k
         np = pi.abs_norm()
         expected *= np**k + np ** (k - 1)
-    # One multiplication per part and product; a tail is checked once it is on.
-    products = [(q, (walk,)) for q, walk in heads[0]]
-    for part in heads[1:]:
-        part = [(_right_rows(q.zc), walk) for q, walk in part]
-        products = [
-            (Icosian(_apply8(x.zc, rows)), walks + (walk,))
-            for x, walks in products
-            for rows, walk in part
-        ]
-    for pi, part in zip(cut, tails):
-        part = [_right_rows(q.zc) for q, _ in part]
-        products = [
-            (y, walks)
-            for x, walks in products
-            for rows in part
-            if not _divides(pi, y := Icosian(_apply8(x.zc, rows)))
-        ]
     # Every product has nr = nr above, so one tau^2 scaling (a central
-    # scalar, one integer matrix) takes them all to the norm candidate.
+    # scalar, one integer matrix) of the first part takes them all to m.
     y, j = _norm_candidate(nr)
     if y != m:
         raise AssertionError(f"{m} is not the norm candidate {y} of its primes")
-    if products[0][0].nr() != nr:
-        raise AssertionError(f"nr {m}: a product has nr {products[0][0].nr()}, not {nr}")
-    zcs = [q.zc for q, _walks in products]
+    products = [(zc, (walk,)) for zc, walk in heads[0]]
     if j:
         scale = _left_rows(Icosian.from_o(tau_pow(-j)).zc)
-        zcs = [_apply8(zc, scale) for zc in zcs]
-    if len(zcs) != expected:
-        raise AssertionError(f"nr {m}: {len(zcs)} classes, the ideal count is {expected}")
-    walks = [w for _q, w in products]
+        products = [(_apply8(zc, scale), walks) for zc, walks in products]
+    # One multiplication per part and product; a tail is checked once it is on.
+    for part in heads[1:]:
+        part = [(_right_rows(zc), walk) for zc, walk in part]
+        products = [
+            (_apply8(x, rows), walks + (walk,))
+            for x, walks in products
+            for rows, walk in part
+        ]
+    for divides, part in zip(cut, tails):
+        part = [_right_rows(zc) for zc, _ in part]
+        products = [
+            (z, walks)
+            for x, walks in products
+            for rows in part
+            if not divides(z := _apply8(x, rows))
+        ]
+    if (got := Icosian(products[0][0]).nr()) != m:
+        raise AssertionError(f"nr {m}: a product has nr {got}, not {m}")
+    if len(products) != expected:
+        raise AssertionError(f"nr {m}: {len(products)} classes, the ideal count is {expected}")
     if not (least or cut):
-        return list(zip(zcs, walks))
-    classes = sorted(zip(map(_orbit_min, zcs), walks))
+        return products
+    classes = sorted((_orbit_min(zc), walks) for zc, walks in products)
     if len({rep for rep, _key in classes}) != len(classes):
         raise AssertionError(f"nr {m}: two products give the same class")
     return classes

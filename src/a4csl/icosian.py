@@ -153,9 +153,6 @@ class Icosian:
     def __sub__(self, other: "Icosian") -> "Icosian":
         return Icosian(tuple(a - b for a, b in zip(self.zc, other.zc)))
 
-    def __neg__(self) -> "Icosian":
-        return Icosian(tuple(-a for a in self.zc))
-
     def __mul__(self, other: "Icosian") -> "Icosian":
         if not isinstance(other, Icosian):
             return NotImplemented
@@ -215,9 +212,6 @@ class Icosian:
         n = self.nr().abs_norm()
         r = isqrt(n)
         return r * r == n
-
-    def is_unit(self) -> bool:
-        return self.nr().is_unit()
 
     def to_json(self) -> dict:
         from .quaternion import format_quat
@@ -354,6 +348,8 @@ def _right_rows(zc) -> list[tuple[int, ...]]:
 _TR4 = tuple(OInt(*e[0]) for e in _TWO_E)  # tr(e_i) = 2 Re(e_i)
 
 ZB_ICO = tuple(Icosian(tuple(int(i == j) for j in range(8))) for i in range(8))
+# Two norm-1 units that generate all 120 (unit_group checks it).
+_UNIT_GENERATORS = (ZB_ICO[2], ZB_ICO[3])
 
 # Doubled bilinear tables on the Z-basis: tr(zb_i * conj(zb_j)) in o, plus its
 # a-part, b-part and rational trace.  x^T NORM_A_GRAM x == 2 * (a of nr(x)),
@@ -461,13 +457,12 @@ def sigma_index(q: Icosian) -> int:
 @lru_cache(maxsize=1)
 def unit_group() -> tuple[Icosian, ...]:
     """The 120 icosians of reduced norm 1 (binary icosahedral group)."""
-    gens = [ZB_ICO[1], ZB_ICO[2], ZB_ICO[3]]
     seen = {ZB_ICO[0].zc}
     frontier = [ZB_ICO[0]]
     while frontier:
         fresh = []
         for x in frontier:
-            for g in gens:
+            for g in _UNIT_GENERATORS:
                 y = x * g
                 if y.zc not in seen:
                     seen.add(y.zc)
@@ -500,7 +495,8 @@ def unit_right_mul_matrices() -> tuple[tuple[tuple[int, ...], ...], ...]:
 @lru_cache(maxsize=1)
 def _unit_matrices() -> SimpleNamespace:
     """The matrices of x -> x*u (units) and x -> u*x (lefts, for the generator
-    search), u over 60 norm-1 units, and each digit width with its limit."""
+    search), u over 60 norm-1 units, those of x -> g*x over the two
+    generators g (walk), and each digit width with its limit."""
     units, lefts, negated = [], [], set()
     for u in unit_group():
         if u.zc not in negated:
@@ -509,7 +505,8 @@ def _unit_matrices() -> SimpleNamespace:
             negated.add(tuple(-v for v in u.zc))
     widest = max(sum(abs(row[k]) for row in mat) for mat in units for k in range(8))
     limits = tuple((b, ((1 << (b - 1)) - 1) // widest) for b in (8, 16, 32))
-    return SimpleNamespace(units=tuple(units), lefts=tuple(lefts), limits=limits)
+    walk = tuple(tuple(_left_rows(g.zc)) for g in _UNIT_GENERATORS)
+    return SimpleNamespace(units=tuple(units), lefts=tuple(lefts), walk=walk, limits=limits)
 
 
 @lru_cache(maxsize=6)

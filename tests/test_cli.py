@@ -1,11 +1,14 @@
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from a4csl.cli import main
+import a4csl
+from a4csl.cli import EXIT_PIPE, main
 
 
 def run(capsys, *argv):
@@ -175,6 +178,24 @@ def test_exact_output_past_the_int_str_limit(capsys, verb, fmt):
         assert sys.get_int_max_str_digits() == limit
 
 
+def test_closed_stdout_exits_without_traceback():
+    """A reader that closes the pipe before the CLI writes (`a4csl ... |
+    head`) gets exit code 5 and no traceback on stderr."""
+    src = str(Path(a4csl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "a4csl.cli", "--output", "json", "selftest"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
 def test_readme_library_example(capsys):
     """The python block of README.md runs and prints what its comments say:
     `5 5` for sigma and den, and `True` for equal_csl."""
@@ -203,12 +224,16 @@ GOLDEN = Path(__file__).parent / "golden"
         (["census", "--nmax", "8"], "census_nmax8.csv", 0),
         (["--budget", "20", "census", "--nmax", "9"], "census_nmax9_budget20.csv", 4),
         (["selftest"], "selftest.txt", 0),
+        (["--output", "json", "selftest"], "selftest.txt", 0),  # selftest prints text only
         (["--output", "json", "equal", "(t,2*t,0,0)", "(1+t,t,t,1)"], "equal_worked.json", 0),
         (["--output", "json", "equal", "(1,1,1,2)", "(1,2,-1,-1)"], "equal_sigma7.json", 0),
         (["--output", "json", "csl", "(1+t,t,t,1)"], "csl_1tt1.json", 0),
         (["--output", "json", "rot", "(t,2*t,0,0)"], "rot_worked.json", 0),
     ],
-    ids=["enumerate10", "enumerate23", "census8", "census9-budget20", "selftest", "equal", "equal-sigma7", "csl", "rot"],
+    ids=[
+        "enumerate10", "enumerate23", "census8", "census9-budget20", "selftest",
+        "selftest-json", "equal", "equal-sigma7", "csl", "rot",
+    ],
 )
 def test_golden_output(capsys, argv, name, code):
     got_code, out, _ = run(capsys, *argv)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,7 +161,7 @@ def test_icosians_with_norm_counts():
 
 def test_enumerate_rotations_examples():
     reps1 = enumerate_rotations(1)
-    assert len(reps1) == 1 and reps1[0].is_unit()
+    assert len(reps1) == 1 and reps1[0].nr().is_unit()
     assert len(enumerate_rotations(2)) == 5
     reps5 = enumerate_rotations(5)
     assert len(reps5) == 30
@@ -479,6 +480,104 @@ def test_prime_generators_refuse_other_norms():
             prime_class_reps(m)
     with pytest.raises(DomainError, match="totally positive"):
         prime_class_reps(OInt(3, -2))
+
+
+def _swept_class_reps(pi: OInt, budget: NodeBudget | None = None, orbit_min=_orbit_min):
+    """The generator search with the sweep over 60 units for every new
+    vector, the only route before the walk: the oracle of prime_class_reps."""
+    expected = 1 if pi == OInt(1, 0) else pi.abs_norm() + 1
+    keys: set[tuple[int, ...]] = set()
+    search = enumerate_two_forms(NORM_A_GRAM, 2 * pi.a, TRACE_GRAM, 2 * pi.trace(), budget=budget)
+    for zc in search:
+        if orbit_min(zc) not in keys:
+            keys.update(orbit_min(_apply8(zc, mat)) for mat in _unit_matrices().lefts)
+            if len(keys) >= expected:
+                break
+    search.close()
+    return sorted(keys)
+
+
+def _census_primes(nmax: int) -> list[OInt]:
+    """The totally positive primes of the norm candidates of n <= nmax."""
+    primes = {
+        _totally_positive(pi)
+        for n in range(2, nmax + 1)
+        for m in norm_candidates(n)
+        for pi, _e, _tag in factor_o(m).factors
+    }
+    return sorted(primes, key=lambda pi: (pi.abs_norm(), pi.a, pi.b))
+
+
+def test_unit_walk_matches_the_sweep(monkeypatch):
+    """For nr 1 and every prime that census --nmax 50 reaches (inert,
+    split and sqrt5, N(pi) up to 47^2), the search with the walk gives the
+    sweep's keys, charges the same nodes (it stops at the same vector) and
+    computes no more orbit minima; at nr 1, 3 instead of 61."""
+    calls = Counter()
+
+    def counted(tag):
+        def orbit_min(zc):
+            calls[tag] += 1
+            return _orbit_min(zc)
+
+        return orbit_min
+
+    monkeypatch.setattr(counting, "_orbit_min", counted("walk"))
+    primes = _census_primes(50)
+    assert primes[0] == OInt(2, 0) and primes[-1] == OInt(47, 0)
+    assert {OInt(2, 1), OInt(3, 0), OInt(7, 0), OInt(3, 1), OInt(4, 1)} <= set(primes)
+    for pi in [OInt(1, 0)] + primes:
+        calls.clear()
+        walked, swept = NodeBudget(10**9), NodeBudget(10**9)
+        assert prime_class_reps(pi, walked) == _swept_class_reps(pi, swept, counted("sweep")), pi
+        assert walked.used == swept.used, pi
+        assert calls["walk"] <= calls["sweep"], pi
+        if pi == OInt(1, 0):
+            assert (calls["walk"], calls["sweep"]) == (3, 61)
+
+
+def test_census_orbit_minima_count(monkeypatch):
+    """One census --nmax 12 computes 423 orbit minima (691 with the sweep
+    alone), and the inert primes 13 to 47 no more than with the sweep."""
+    calls = []
+
+    def orbit_min(zc):
+        calls.append(zc)
+        return _orbit_min(zc)
+
+    monkeypatch.setattr(counting, "_orbit_min", orbit_min)
+    census_table(12)
+    assert len(calls) == 423
+    for p, swept in ((13, 299), (17, 421), (23, 975), (37, 3496), (47, 5109)):
+        calls.clear()
+        prime_class_reps(OInt(p, 0))
+        assert len(calls) <= swept, p
+
+
+def _divides(pi: OInt, zc) -> bool:
+    """pi divides every o-coordinate: the oracle of counting._multiple_test."""
+    return all(pi.divides(c) for c in Icosian(zc).coords())
+
+
+def test_integer_prime_test_matches_division_in_o():
+    """For every totally positive prime of norm below 500 the integer test
+    agrees with division in o, on seeded vectors, their multiples by pi, by
+    its conjugate and by p, and their sums with multiples of pi."""
+    pick = random.Random(4093)
+    primes = _primes_of_o_below(500)
+    assert {OInt(2, 1), OInt(2, 0), OInt(17, 0), OInt(3, 1)} <= set(primes)
+    for pi in primes:
+        divides = counting._multiple_test(pi)
+        p = OInt(isqrt(pi.abs_norm()) if pi.b == 0 else pi.abs_norm(), 0)
+        seen = Counter()
+        for _ in range(40):
+            x = Icosian(tuple(pick.randint(-60, 60) for _ in range(8)))
+            y = Icosian(tuple(pick.randint(-9, 9) for _ in range(8)))
+            for v in (x, x.scale_o(pi), x.scale_o(pi.conj()), x.scale_o(p), x + y.scale_o(pi)):
+                got = divides(v.zc)
+                assert got == _divides(pi, v.zc), (pi, v.zc)
+                seen[got] += 1
+        assert seen[True] >= 40 and seen[False] >= 40, pi
 
 
 @st.composite
