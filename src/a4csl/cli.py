@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; enumeration is serial")
     ap.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
-                    help="maximum enumeration nodes")
+                    help="maximum remainder sequences of the generator search (index 1: one)")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("rot", help="inspect a coincidence rotation")

@@ -10,17 +10,21 @@ enumerate_rotations(n) produces one icosian per right-ideal class q*I with
 coincidence index n.  The strategy is exact and complete: list candidate
 reduced norms m (totally positive, lcm(m, m') = n, one representative per
 tau^2-scaling orbit) and build the classes of each m from the primes pi of
-o that divide it.  The N(pi)+1 classes of norm pi (the generators) come
-from one short-vector search each that stops as soon as they are complete
-(prime_class_reps): the class of each new vector x brings those of u*x for
-every norm-1 unit u, so only a few vectors are drawn and the node budget
-pays for no more.  That unit orbit comes from a walk under two generating
+o that divide it.  The N(pi)+1 classes of norm pi (the generators) are the
+lines of I/pi*I, a matrix ring over o/pi: each line y*I + pi*I is
+generated by the last right-Euclidean remainder of y and pi
+(icosian._remainders; I is E8, so norm-Euclidean), scaled by a power of
+tau to nr exactly pi (prime_class_reps, _line_keys).  The lines are
+divided one at a time until the classes are complete: the class of each
+new line x brings those of u*x for every norm-1 unit u, so only a few
+lines are divided, and the budget, one unit per remainder sequence, pays
+for no more.  That unit orbit comes from a walk under two generating
 units, two orbit minima per class, while at most 30 classes of the norm
-are unfound (the orbit then holds at most 30), and from a sweep over 60
-units, 60 orbit minima, otherwise.  The classes of norm pi^k are the
-products q*g of a class q of norm pi^(k-1) with a generator g that pi does
-not divide (non-backtracking walks on the Bruhat-Tits tree, so none
-repeats).  That divisibility is one integer test per prime, set up once
+are unfound (the orbit then holds at most 30), and from a sweep over the
+59 units other than +-1, 59 orbit minima, otherwise.  The classes of norm
+pi^k are the products q*g of a class q of norm pi^(k-1) with a generator g
+that pi does not divide (non-backtracking walks on the Bruhat-Tits tree, so
+none repeats).  That divisibility is one integer test per prime, set up once
 (_multiple_test): p divides the 8 coordinates for pi = p inert, and
 otherwise each a_i + r b_i, for the integer r = tau mod pi.  The classes
 of m are the products of one walk per prime, split into a head and a tail
@@ -30,9 +34,9 @@ central, it is applied once to each entry of the first part, not to each
 product.  Each product is then replaced by the least vector of its orbit
 under the 120 norm-1 units, taken with its last nonzero coordinate positive
 (_orbit_min's form): the first vector of its class that a full sorted
-short-vector search meets.  Class counts are checked against the local
-ideal counts N(pi)^k + N(pi)^(k-1), and the orbit minima against each
-other: no two products may give one class.
+short-vector search (the oracle in the tests) meets.  Class counts are
+checked against the local ideal counts N(pi)^k + N(pi)^(k-1), and the
+orbit minima against each other: no two products may give one class.
 
 census takes the classes of a tail-free norm (every prime at full depth
 j = k) as the scaled products themselves, in walk order, with no orbit
@@ -74,6 +78,7 @@ from .field import (
     RAMIFIED,
     SQRT5,
     TAU,
+    ZERO_O,
     factor_int,
     factor_o,
     is_prime,
@@ -85,21 +90,22 @@ from .field import (
     unit_normalize,
 )
 from .icosian import (
+    ZB_ICO,
     Icosian,
-    NORM_A_GRAM,
-    TRACE_GRAM,
     _apply8,
     _combine,
     _content_norm,
     _left_rows,
     _orbit_min,
+    _remainders,
     _right_rows,
     _sparse,
     _split,
     _unit_matrices,
+    _zc_of_o4,
 )
 from .lattice import SublatticeL, _phi_plus_table
-from .shortvec import NodeBudget, enumerate_two_forms
+from .shortvec import NodeBudget
 
 DEFAULT_NMAX = 30
 DEFAULT_BUDGET = 200_000_000
@@ -244,10 +250,10 @@ def norm_candidates(n: int) -> list[OInt]:
 _WALK_MAX = 30
 
 
-def _unit_walk(zc: tuple[int, ...], key: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The keys of the classes u*x*I over the norm-1 units u, key that of x,
+def _unit_walk(key: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The keys of the classes u*x*I over the norm-1 units u, x the key,
     reached by left multiplication with the two generating units."""
-    orbit, frontier, gens = {key}, [zc], _unit_matrices().walk
+    orbit, frontier, gens = {key}, [key], _unit_matrices().walk
     while frontier:
         y = frontier.pop()
         for rows in gens:
@@ -259,6 +265,50 @@ def _unit_walk(zc: tuple[int, ...], key: tuple[int, ...]) -> set[tuple[int, ...]
     return orbit
 
 
+def _line_key(x: Icosian, pi: OInt, budget: NodeBudget | None) -> tuple[int, ...]:
+    """The key of the line x*I + pi*I, x of rank one mod pi: its generator d,
+    the last right-Euclidean remainder of x and pi (one budget unit), with
+    nr(d) = pi*tau^(2k) scaled by tau^-k to nr exactly pi, then _orbit_min."""
+    if budget is not None:
+        budget.charge()
+    d, m, _x = _remainders(x, x.nr(), pi)[-1]
+    unit = m.exact_div(pi) if pi.divides(m) else ZERO_O
+    if not (unit.is_unit() and unit.is_totally_positive()):
+        raise AssertionError(f"nr {pi}: a line generator has nr {m}, not {pi} times a square unit")
+    k = unit_normalize(unit)[1] // 2  # unit = tau^(2k)
+    return _orbit_min(d.scale_o(tau_pow(-k)).zc if k else d.zc)
+
+
+def _line_keys(pi: OInt, budget: NodeBudget | None):
+    """Yield the keys of lines of I/pi*I, pi a totally positive prime of o
+    over p: that of z = 1 + a*i + b*j for the first 0 <= a, b < p with
+    a^2 + b^2 + 1 = 0 mod p, those of w*z for w = zb_1, zb_2, ... up to the
+    first w that moves the line, then those of z + lam*w*z for lam != 0 in
+    o/pi (a + b*tau, 0 <= a, b < p, for pi = p inert, else 1..p-1).  The line
+    of y is its image in (o/pi)^2, on which I/pi*I acts as M_2(o/pi): those
+    of z and w*z differ, so w*z and the z + lam*w*z are all N(pi)+1 lines."""
+    n = pi.abs_norm()
+    inert = isqrt(n) ** 2 == n
+    p = isqrt(n) if inert else n
+    a, b = next((a, b) for a in range(p) for b in range(p) if (a * a + b * b + 1) % p == 0)
+    z = Icosian(_zc_of_o4(((1, 0), (a, 0), (b, 0), (0, 0))))
+    if _multiple_test(pi)(z.zc):
+        raise AssertionError(f"nr {pi}: z = {z} lies in pi I")
+    first = _line_key(z, pi, budget)
+    yield first
+    for w in ZB_ICO[1:]:
+        wz = w * z
+        if (key := _line_key(wz, pi, budget)) != first:
+            break
+    else:
+        raise AssertionError(f"nr {pi}: no basis element moves the line of {z}")
+    yield key
+    lams = itertools.product(range(p), range(p) if inert else (0,))
+    next(lams)  # lam = 0: the line of z
+    for lam in lams:
+        yield _line_key(z + wz.scale_o(OInt(*lam)), pi, budget)
+
+
 def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
     """One coordinate vector per right-ideal class with nr exactly pi, a
     totally positive prime of o or 1: the generators of the enumeration,
@@ -267,38 +317,35 @@ def prime_class_reps(pi: OInt, budget: NodeBudget | None = None) -> list[tuple[i
     The right ideals of norm pi are the N(pi)+1 lines of I/pi*I, a matrix
     ring over o/pi (1 ideal, I itself, for pi = 1), and each is principal,
     x*I with nr(x) = pi; its generators of nr exactly pi are the x*u over the
-    norm-1 units u, so the key _orbit_min(x) names the ideal.  The search
-    over the icosians of nr pi is consumed lazily: for each x with a new key
-    the keys of u*x over the norm-1 units u join too, since nr(u*x) = pi and
+    norm-1 units u, so the key _orbit_min(x) names the ideal.  The lines
+    come from _line_keys, one budget unit each (and one for pi = 1).  For
+    each new key x the keys of u*x over the norm-1 units u join too, since
     left multiplication by a unit permutes the right ideals of norm pi.
     While at most _WALK_MAX classes are unfound, so is that orbit, and a
     walk under two generating units finds it (_unit_walk); otherwise a sweep
-    over 60 units u, one per +-pair (-u*x = -(u*x)), does.  Both give the
-    whole orbit, so the search stops at the same vector either way.
-    N(pi)+1 distinct keys are then every class, and the search stops there:
-    the budget is charged only for the nodes before that point.  A search
-    that ends short of them, or more keys than ideals, raises.
+    over the 59 units other than 1, one per +-pair (-u*x = -(u*x)), does.
+    The search stops at N(pi)+1 keys; fewer, or more, raise.
     """
     if not pi.is_totally_positive():
         raise DomainError("reduced norms are totally positive")
     if pi != ONE_O and [e for _p, e, _tag in factor_o(pi).factors] != [1]:
         raise DomainError(f"{pi} is not a prime of o")
-    expected = 1 if pi == ONE_O else pi.abs_norm() + 1
+    if pi == ONE_O:
+        if budget is not None:
+            budget.charge()
+        return [_orbit_min(ZB_ICO[0].zc)]
+    expected = pi.abs_norm() + 1
     keys: set[tuple[int, ...]] = set()
-    search = enumerate_two_forms(NORM_A_GRAM, 2 * pi.a, TRACE_GRAM, 2 * pi.trace(), budget=budget)
-    try:
-        for zc in search:
-            key = _orbit_min(zc)
-            if key in keys:
-                continue
-            if expected - len(keys) <= _WALK_MAX:
-                keys |= _unit_walk(zc, key)
-            else:
-                keys.update(_orbit_min(_apply8(zc, mat)) for mat in _unit_matrices().lefts)
-            if len(keys) >= expected:
-                break
-    finally:
-        search.close()
+    for key in _line_keys(pi, budget):
+        if key in keys:
+            continue
+        if expected - len(keys) <= _WALK_MAX:
+            keys |= _unit_walk(key)
+        else:
+            keys.add(key)
+            keys.update(_orbit_min(_apply8(key, mat)) for mat in _unit_matrices().lefts)
+        if len(keys) >= expected:
+            break
     if len(keys) != expected:
         raise AssertionError(f"nr {pi}: {len(keys)} classes, the ideal count is {expected}")
     return sorted(keys)
@@ -316,9 +363,9 @@ def _prime_power_classes(
     class, pi totally positive prime, with its walk: the indices of the
     generators g_i.
 
-    k = 1 is one stopped short-vector search; higher powers extend each
-    class of pi^(k-1) by every generator and drop the one backtracking
-    product, which pi divides.
+    k = 1 is the generator search of prime_class_reps; higher powers
+    extend each class of pi^(k-1) by every generator and drop the one
+    backtracking product, which pi divides.
     """
     key = (pi, k)
     if key not in memo:
@@ -363,8 +410,8 @@ def _class_reps_by_products(
     order: each class has its own head walks, and census checks them
     against the CSL HNFs (module docstring)."""
     if m == ONE_O:
-        # Searched like the generators, so that index 1 is charged to the
-        # budget (a budget below 8 nodes truncates a census before n = 1).
+        # Through the generator search, so that index 1 is charged one unit
+        # (a budget of 0 truncates a census before n = 1).
         return [(zc, ()) for zc in prime_class_reps(m, budget)]
     d = isqrt(m.abs_norm())
     beta = OInt(d // 5, 0) * SQRT5 if SQRT5.divides(m) else OInt(d, 0)
@@ -433,8 +480,8 @@ def enumerate_rotations(
 
     memo holds the generators and prime-power classes between calls that
     share it (census_table passes one per table); the budget is charged
-    for the searches that fill it.  memo[n] is left holding, in order, the
-    reduced norm m of each class with its head walks, for census.  census
+    for the generator searches that fill it.  memo[n] is left holding, in
+    order, the reduced norm m of each class with its head walks, for census.  census
     passes least=False: the classes of a tail-free norm are then the
     products as built, whose distinctness census checks by their CSLs.
     """

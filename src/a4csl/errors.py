@@ -10,4 +10,4 @@ class DomainError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An enumeration exceeded its configured node budget."""
+    """An enumeration exceeded its budget of generator-search units."""

@@ -28,8 +28,11 @@ equality and sums canonical.  Left division is integer: d^-1 x
 lies in I iff nr(d) divides every o-coordinate of conj(d) x.  glcd(p, beta)
 is a generator of p*I + beta*I, found as the last remainder of a
 right-Euclidean division in I, which is E8 under NORM_A_GRAM and hence
-norm-Euclidean; the least of trace and coordinates over its associates
-comes from the unit orbits of its tau-scalings, through _orbit_min.
+norm-Euclidean (_remainders); the least of trace and coordinates over its
+associates comes from the unit orbits of its tau-scalings, through
+_orbit_min.  The same remainder sequence, of y and a prime pi of o, gives
+counting the generators of the lines y*I + pi*I of I/pi*I, the right
+ideals of norm pi.
 
 Validation and balancing live here once, as integer arithmetic on the
 coordinate vector: _require_primitive rejects zero and imprimitive input
@@ -352,12 +355,10 @@ ZB_ICO = tuple(Icosian(tuple(int(i == j) for j in range(8))) for i in range(8))
 _UNIT_GENERATORS = (ZB_ICO[2], ZB_ICO[3])
 
 # Doubled bilinear tables on the Z-basis: tr(zb_i * conj(zb_j)) in o, plus its
-# a-part, b-part and rational trace.  x^T NORM_A_GRAM x == 2 * (a of nr(x)),
-# x^T TRACE_GRAM x == 2 * Tr(nr(x)).
+# a-part and b-part.  x^T NORM_A_GRAM x == 2 * (a of nr(x)).
 _TRG8 = tuple(tuple(Icosian(_apply8(cj, row)).tr_q() for cj in _CJ8) for row in _MUL)
 NORM_A_GRAM = tuple(tuple(w.a for w in row) for row in _TRG8)
 NORM_B_GRAM = tuple(tuple(w.b for w in row) for row in _TRG8)
-TRACE_GRAM = tuple(tuple(w.trace() for w in row) for row in _TRG8)
 
 # (Z^8, NORM_A_GRAM) is even unimodular of rank 8, i.e. E8.  Row i of _E8_T is
 # 2 zb_i in the standard coordinates of E8 = D8 u (D8 + 1/2), so that
@@ -494,14 +495,16 @@ def unit_right_mul_matrices() -> tuple[tuple[tuple[int, ...], ...], ...]:
 # that holds it, and past 32 bits the plain _apply8 route.
 @lru_cache(maxsize=1)
 def _unit_matrices() -> SimpleNamespace:
-    """The matrices of x -> x*u (units) and x -> u*x (lefts, for the generator
-    search), u over 60 norm-1 units, those of x -> g*x over the two
-    generators g (walk), and each digit width with its limit."""
+    """The matrices of x -> x*u (units), u over 60 norm-1 units, one per
+    +-pair, and of x -> u*x (lefts, for the generator search) over the 59 of
+    them other than +-1, those of x -> g*x over the two generators g (walk),
+    and each digit width with its limit."""
     units, lefts, negated = [], [], set()
     for u in unit_group():
         if u.zc not in negated:
             units.append(tuple(_right_rows(u.zc)))
-            lefts.append(tuple(_left_rows(u.zc)))
+            if any(u.zc[1:]):  # not +-1
+                lefts.append(tuple(_left_rows(u.zc)))
             negated.add(tuple(-v for v in u.zc))
     widest = max(sum(abs(row[k]) for row in mat) for mat in units for k in range(8))
     limits = tuple((b, ((1 << (b - 1)) - 1) // widest) for b in (8, 16, 32))

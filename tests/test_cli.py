@@ -116,14 +116,14 @@ def test_census_command_csv(capsys):
 
 
 def test_census_budget_exceeded(capsys):
-    """census --nmax 9 charges 76 nodes: 8 for index 1, 9 for nr 2, 11 for
-    nr 3, 17 for nr 2+t and 31 for nr 7, each search stopping once its
-    classes are complete.  50 nodes end the table after n = 6, 0 before
-    n = 1."""
-    for budget in ("50", "0"):
+    """census --nmax 9 charges 7 units: 1 for index 1, and 1 per line the
+    generator search divides, 1 for nr 2, 1 for nr 3, 1 for nr 2+t and 3
+    for nr 7, each search stopping once its classes are complete.  5 units
+    end the table after n = 6, 0 before n = 1."""
+    for budget, last in (("5", "6,50,50,50,true"), ("0", "n,rotation_classes,csl_count,f_formula,match")):
         code, out, err = run(capsys, "--budget", budget, "census", "--nmax", "9")
         assert code == 4
-        assert "# truncated" in out
+        assert out.splitlines()[-2:] == [last, "# truncated: enumeration budget exceeded"]
 
 
 @pytest.mark.parametrize("nmax", ["0", "-3"])
@@ -213,16 +213,16 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 # Reference CLI outputs, compared byte for byte with their exit codes.  The
-# truncated census pins the order in which the DFS counts its nodes: index 1
-# charges 8, nr 2 then 9 (17 in all) and nr 3 then 11 (28), so 20 nodes end
-# the table after n = 2.
+# truncated census pins the budget's unit: index 1 charges 1, nr 2 one
+# remainder sequence (2 in all) and nr 3 one more (3), so 2 units end the
+# table after n = 2.
 @pytest.mark.parametrize(
     "argv, name, code",
     [
         (["--output", "json", "enumerate", "10"], "enumerate10.json", 0),
         (["--output", "json", "enumerate", "23"], "enumerate23.json", 0),
         (["census", "--nmax", "8"], "census_nmax8.csv", 0),
-        (["--budget", "20", "census", "--nmax", "9"], "census_nmax9_budget20.csv", 4),
+        (["--budget", "2", "census", "--nmax", "9"], "census_nmax9_budget2.csv", 4),
         (["selftest"], "selftest.txt", 0),
         (["--output", "json", "selftest"], "selftest.txt", 0),  # selftest prints text only
         (["--output", "json", "equal", "(t,2*t,0,0)", "(1+t,t,t,1)"], "equal_worked.json", 0),
@@ -231,7 +231,7 @@ GOLDEN = Path(__file__).parent / "golden"
         (["--output", "json", "rot", "(t,2*t,0,0)"], "rot_worked.json", 0),
     ],
     ids=[
-        "enumerate10", "enumerate23", "census8", "census9-budget20", "selftest",
+        "enumerate10", "enumerate23", "census8", "census9-budget2", "selftest",
         "selftest-json", "equal", "equal-sigma7", "csl", "rot",
     ],
 )

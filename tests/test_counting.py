@@ -13,9 +13,9 @@ from a4csl import counting
 from a4csl.icosian import (
     Icosian,
     NORM_A_GRAM,
-    TRACE_GRAM,
     _apply8,
     _content_norm,
+    _left_rows,
     _orbit,
     _orbit_bits,
     _orbit_blocks,
@@ -47,7 +47,7 @@ from a4csl.counting import (
     norm_candidates,
     prime_class_reps,
 )
-from a4csl.shortvec import enumerate_form, enumerate_two_forms
+from test_shortvec import TRACE_GRAM, enumerate_form, enumerate_two_forms
 
 rng = random.Random(8128)
 
@@ -112,12 +112,10 @@ def test_norm_candidates():
 # -- the full short-vector route, the oracle of the generator search ---------
 
 
-def icosians_with_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
+def icosians_with_norm(m: OInt) -> list[tuple[int, ...]]:
     """Coordinate vectors of all icosians with nr exactly m (one per +-pair),
     sorted: the two-form search run to its end."""
-    return sorted(
-        enumerate_two_forms(NORM_A_GRAM, 2 * m.a, TRACE_GRAM, 2 * m.trace(), budget=budget)
-    )
+    return sorted(enumerate_two_forms(NORM_A_GRAM, 2 * m.a, TRACE_GRAM, 2 * m.trace()))
 
 
 def _repeated_prime_divides(q: Icosian, m: OInt, factors: dict) -> bool:
@@ -129,14 +127,14 @@ def _repeated_prime_divides(q: Icosian, m: OInt, factors: dict) -> bool:
     return any(all(pi.divides(c) for c in q.coords()) for pi in factors[m])
 
 
-def class_reps_for_norm(m: OInt, budget: NodeBudget | None = None) -> list[tuple[int, ...]]:
+def class_reps_for_norm(m: OInt) -> list[tuple[int, ...]]:
     """One coordinate vector per right-ideal class with nr exactly m, by
     short-vector search over all icosians of that norm: the primitive ones,
     and of those the first of each unit orbit in sorted order."""
     factors = {}
     vecs = [
         zc
-        for zc in icosians_with_norm(m, budget)
+        for zc in icosians_with_norm(m)
         if not _repeated_prime_divides(Icosian(zc), m, factors)
     ]
     # The search yields each +-pair once, last nonzero coordinate positive,
@@ -190,16 +188,20 @@ def test_census_table_and_csv():
 
 def test_budget_enforced():
     """The generator memo lives for one call, so the same budget truncates
-    at the same index cold and after a warm census.  Each search stops once
-    its classes are complete: norm 1 (8 nodes) and norm 2 (9) fit in 20
-    nodes, norm 3 (11 more) does not; index 11 needs nr 3+t and 3+2t, 23
-    nodes each, so 30 nodes are not enough."""
+    at the same index cold and after a warm census.  The budget counts one
+    unit for index 1 and one per remainder sequence of the generator
+    search: norm 1 and norm 2 (one line each) fit in 2 units, norm 3 (one
+    more) does not; index 11 needs nr 3+t and 3+2t, one line each, so 1
+    unit is not enough."""
     with pytest.raises(BudgetError):
-        enumerate_rotations(11, budget=NodeBudget(30))
-    cold, truncated = census_table(9, budget=NodeBudget(20))
+        enumerate_rotations(11, budget=NodeBudget(1))
+    ample = NodeBudget(2)
+    enumerate_rotations(11, budget=ample)
+    assert ample.used == 2
+    cold, truncated = census_table(9, budget=NodeBudget(2))
     assert truncated and census_csv(cold).splitlines()[1:] == ["1,1,1,1,true", "2,5,5,5,true"]
     census_table(12)
-    warm, truncated = census_table(9, budget=NodeBudget(20))
+    warm, truncated = census_table(9, budget=NodeBudget(2))
     assert truncated and warm == cold
 
 
@@ -408,8 +410,8 @@ def test_class_reps_for_norm_matches_seen_set_dedup(monkeypatch):
     searched = {}
     search = icosians_with_norm
 
-    def recording(m, budget=None):
-        searched[m] = search(m, budget)
+    def recording(m):
+        searched[m] = search(m)
         return searched[m]
 
     monkeypatch.setitem(globals(), "icosians_with_norm", recording)
@@ -443,35 +445,47 @@ def test_prime_generators_match_full_search():
 
 
 def test_prime_generators_stop_early():
-    """At nr 7 the search stops once the 50 classes are complete, long
-    before the full search ends; the budget pays only for the nodes run."""
+    """At nr 7 the search stops once the 50 classes are complete: it divides
+    3 of the 50 lines (z, i*z and z + w*z), one budget unit each."""
     m = OInt(7, 0)
-    stopped, full = NodeBudget(10**9), NodeBudget(10**9)
+    stopped = NodeBudget(10**9)
     assert len(prime_class_reps(m, stopped)) == 50
-    assert len(icosians_with_norm(m, full)) == 60 * 50
-    assert 0 < stopped.used < full.used // 100
+    assert stopped.used == 3
 
 
 def test_prime_generators_refuse_a_short_or_foreign_stream(monkeypatch):
-    """A search that ends before every class is found raises (the first
-    vector of nr 7 brings the 20 classes of its left-unit orbit), and so does
-    a stream whose keys outnumber the ideals (vectors of nr 3 offered as nr 2:
-    their 10 classes exceed the 5 ideals of norm 2)."""
-    full = counting.enumerate_two_forms
+    """Lines that end before every class is found raise (the first line of
+    nr 7 brings the 20 classes of its left-unit orbit), and so do lines
+    whose keys outnumber the ideals (the lines of nr 3 offered as nr 2:
+    their 10 classes exceed the 5 ideals of norm 2).  A remainder sequence
+    whose last remainder does not have nr pi times a square unit raises
+    (z itself, of nr 14 at pi = 7), and so does a z in pi I or a line that
+    no basis element moves."""
+    lines = counting._line_keys
 
-    def first_only(*args, **kwargs):
-        yield next(iter(full(*args, **kwargs)))
+    def first_only(pi, budget):
+        yield next(lines(pi, budget))
 
-    monkeypatch.setattr(counting, "enumerate_two_forms", first_only)
-    with pytest.raises(AssertionError, match="20 classes, the ideal count is 50"):
-        prime_class_reps(OInt(7, 0))
-
-    def norm_three(*args, budget=None):
-        return full(NORM_A_GRAM, 6, TRACE_GRAM, 12, budget=budget)
-
-    monkeypatch.setattr(counting, "enumerate_two_forms", norm_three)
-    with pytest.raises(AssertionError, match="10 classes, the ideal count is 5"):
-        prime_class_reps(OInt(2, 0))
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_line_keys", first_only)
+        with pytest.raises(AssertionError, match="20 classes, the ideal count is 50"):
+            prime_class_reps(OInt(7, 0))
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_line_keys", lambda pi, budget: lines(OInt(3, 0), budget))
+        with pytest.raises(AssertionError, match="10 classes, the ideal count is 5"):
+            prime_class_reps(OInt(2, 0))
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_remainders", lambda p, m, beta: [(p, m, Icosian.from_int(1))])
+        with pytest.raises(AssertionError, match="has nr 14, not 7 times a square unit"):
+            prime_class_reps(OInt(7, 0))
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_multiple_test", lambda pi: lambda zc: True)
+        with pytest.raises(AssertionError, match="lies in pi I"):
+            prime_class_reps(OInt(7, 0))
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_line_key", lambda x, pi, budget: (0,) * 7 + (1,))
+        with pytest.raises(AssertionError, match="no basis element moves the line"):
+            prime_class_reps(OInt(7, 0))
 
 
 def test_prime_generators_refuse_other_norms():
@@ -482,18 +496,33 @@ def test_prime_generators_refuse_other_norms():
         prime_class_reps(OInt(3, -2))
 
 
-def _swept_class_reps(pi: OInt, budget: NodeBudget | None = None, orbit_min=_orbit_min):
-    """The generator search with the sweep over 60 units for every new
-    vector, the only route before the walk: the oracle of prime_class_reps."""
+def _searched_class_reps(pi: OInt) -> list[tuple[int, ...]]:
+    """The generator search over the two-form short-vector search, stopped
+    once N(pi)+1 keys are found, each new vector bringing the keys of its
+    orbit under the 120 left units: the oracle of the line keys."""
     expected = 1 if pi == OInt(1, 0) else pi.abs_norm() + 1
+    lefts = [_left_rows(u.zc) for u in unit_group()]  # x -> u*x
     keys: set[tuple[int, ...]] = set()
-    search = enumerate_two_forms(NORM_A_GRAM, 2 * pi.a, TRACE_GRAM, 2 * pi.trace(), budget=budget)
-    for zc in search:
-        if orbit_min(zc) not in keys:
-            keys.update(orbit_min(_apply8(zc, mat)) for mat in _unit_matrices().lefts)
+    for zc in enumerate_two_forms(NORM_A_GRAM, 2 * pi.a, TRACE_GRAM, 2 * pi.trace()):
+        if _orbit_min(zc) not in keys:
+            keys.update(_orbit_min(_apply8(zc, mat)) for mat in lefts)
             if len(keys) >= expected:
                 break
-    search.close()
+    return sorted(keys)
+
+
+def _swept_class_reps(pi: OInt, budget: NodeBudget | None = None, orbit_min=_orbit_min):
+    """The generator search with the sweep over 59 units for every new
+    line key: the oracle of the walk in prime_class_reps, on the same
+    lines."""
+    expected = pi.abs_norm() + 1
+    keys: set[tuple[int, ...]] = set()
+    for key in counting._line_keys(pi, budget):
+        if key not in keys:
+            keys.add(key)
+            keys.update(orbit_min(_apply8(key, mat)) for mat in _unit_matrices().lefts)
+            if len(keys) >= expected:
+                break
     return sorted(keys)
 
 
@@ -508,37 +537,54 @@ def _census_primes(nmax: int) -> list[OInt]:
     return sorted(primes, key=lambda pi: (pi.abs_norm(), pi.a, pi.b))
 
 
-def test_unit_walk_matches_the_sweep(monkeypatch):
+def test_prime_generators_match_the_stopped_search():
     """For nr 1 and every prime that census --nmax 50 reaches (inert,
-    split and sqrt5, N(pi) up to 47^2), the search with the walk gives the
-    sweep's keys, charges the same nodes (it stops at the same vector) and
-    computes no more orbit minima; at nr 1, 3 instead of 61."""
+    split and sqrt5, N(pi) up to 47^2), the line keys are the keys of the
+    short-vector search stopped at N(pi)+1 classes; so too for the
+    associates tau^2 * 2 and tau^2 * (2 + t) of an inert prime and sqrt5."""
+    primes = _census_primes(50)
+    assert len(primes) == 20 and primes[0] == OInt(2, 0) and primes[-1] == OInt(47, 0)
+    assert {OInt(2, 1), OInt(3, 0), OInt(7, 0), OInt(3, 1), OInt(4, 1)} <= set(primes)
+    associates = [OInt(2, 2), OInt(3, 4)]
+    assert associates == [OInt(2, 0) * tau_pow(2), OInt(2, 1) * tau_pow(2)]
+    for pi in [OInt(1, 0)] + primes + associates:
+        assert prime_class_reps(pi) == _searched_class_reps(pi), pi
+
+
+def test_unit_walk_matches_the_sweep(monkeypatch):
+    """For every prime that census --nmax 50 reaches, the search with the
+    walk gives the sweep's keys, divides the same lines (it stops at the
+    same line) and computes at most one more orbit minimum, the line keys'
+    own included: a walk takes 2 per class and the sweep 59, and only an
+    orbit of 30 classes, walked when exactly 30 are unfound, costs more
+    (60; at nr 5+t it is the only orbit).  nr 1 takes one orbit minimum,
+    the key of 1, and one unit."""
     calls = Counter()
 
-    def counted(tag):
-        def orbit_min(zc):
-            calls[tag] += 1
-            return _orbit_min(zc)
+    def counted(zc):
+        calls["all"] += 1
+        return _orbit_min(zc)
 
-        return orbit_min
-
-    monkeypatch.setattr(counting, "_orbit_min", counted("walk"))
-    primes = _census_primes(50)
-    assert primes[0] == OInt(2, 0) and primes[-1] == OInt(47, 0)
-    assert {OInt(2, 1), OInt(3, 0), OInt(7, 0), OInt(3, 1), OInt(4, 1)} <= set(primes)
-    for pi in [OInt(1, 0)] + primes:
-        calls.clear()
+    monkeypatch.setattr(counting, "_orbit_min", counted)
+    for pi in _census_primes(50):
         walked, swept = NodeBudget(10**9), NodeBudget(10**9)
-        assert prime_class_reps(pi, walked) == _swept_class_reps(pi, swept, counted("sweep")), pi
+        calls.clear()
+        keys = prime_class_reps(pi, walked)
+        walk_calls = calls["all"]
+        calls.clear()
+        assert keys == _swept_class_reps(pi, swept, counted), pi
         assert walked.used == swept.used, pi
-        assert calls["walk"] <= calls["sweep"], pi
-        if pi == OInt(1, 0):
-            assert (calls["walk"], calls["sweep"]) == (3, 61)
+        assert walk_calls <= calls["all"] + 1, pi
+    calls.clear()
+    one = NodeBudget(10**9)
+    assert prime_class_reps(OInt(1, 0), one) == [_orbit_min((1,) + (0,) * 7)]
+    assert (calls["all"], one.used) == (1, 1)
 
 
 def test_census_orbit_minima_count(monkeypatch):
-    """One census --nmax 12 computes 423 orbit minima (691 with the sweep
-    alone), and the inert primes 13 to 47 no more than with the sweep."""
+    """One census --nmax 12 computes 398 orbit minima (423 with the stopped
+    short-vector search, 691 with its sweep alone), and the inert primes 13
+    to 47 no more than with the stopped search and the sweep."""
     calls = []
 
     def orbit_min(zc):
@@ -547,7 +593,7 @@ def test_census_orbit_minima_count(monkeypatch):
 
     monkeypatch.setattr(counting, "_orbit_min", orbit_min)
     census_table(12)
-    assert len(calls) == 423
+    assert len(calls) == 398
     for p, swept in ((13, 299), (17, 421), (23, 975), (37, 3496), (47, 5109)):
         calls.clear()
         prime_class_reps(OInt(p, 0))

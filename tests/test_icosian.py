@@ -17,7 +17,6 @@ from a4csl.hnf import diagonal_product
 from a4csl.field import KNum, OInt, SQRT5, TAU, lcm_o, sqrt_o, tau_pow, unit_normalize
 from a4csl.icosian import (
     NORM_A_GRAM,
-    TRACE_GRAM,
     Icosian,
     Rank8Module,
     ZB_ICO,
@@ -49,9 +48,9 @@ from a4csl.icosian import (
     unit_right_mul_matrices,
 )
 from a4csl.quaternion import Quat, parse_quat
-from a4csl.shortvec import enumerate_form, eval_form, gram_of_basis
+from a4csl.shortvec import eval_form, gram_of_basis
 from test_quaternion import add, conj, inverse, mul, nr, scale, tr, twist
-from test_shortvec import gauss_jordan
+from test_shortvec import TRACE_GRAM, enumerate_form, gauss_jordan
 
 rng = random.Random(31337)
 
