@@ -67,7 +67,6 @@ partition against the HNF partition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import BudgetError, DomainError
@@ -106,6 +105,7 @@ from .icosian import (
 )
 from .lattice import SublatticeL, _phi_plus_table
 from .shortvec import NodeBudget
+from .value import Value, _set
 
 DEFAULT_NMAX = 30
 DEFAULT_BUDGET = 200_000_000
@@ -246,7 +246,11 @@ def norm_candidates(n: int) -> list[OInt]:
     return out
 
 
-# A walk costs two orbit minima per class of the orbit, a sweep 60.
+# A walk costs two orbit minima per class of the orbit, a sweep 59, each
+# besides the key's own.  So a walk is cheaper for an orbit of up to 29
+# classes and one dearer for one of 30 (60 against 59).  The unfound count
+# bounds the orbit's size but does not give it, so at 30 unfound the rule
+# walks anyway, and wastes one orbit minimum if the orbit has all 30.
 _WALK_MAX = 30
 
 
@@ -496,14 +500,16 @@ def enumerate_rotations(
     return reps
 
 
-@dataclass(frozen=True)
-class SigmaCensus:
+class SigmaCensus(Value):
     """Counts for one coincidence index."""
 
-    n: int
-    rotation_classes: int
-    csl_count: int
-    f_formula: int
+    __slots__ = _fields = ("n", "rotation_classes", "csl_count", "f_formula")
+
+    def __init__(self, n: int, rotation_classes: int, csl_count: int, f_formula: int):
+        _set(self, "n", n)
+        _set(self, "rotation_classes", rotation_classes)
+        _set(self, "csl_count", csl_count)
+        _set(self, "f_formula", f_formula)
 
     @property
     def match(self) -> bool:

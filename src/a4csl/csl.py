@@ -30,7 +30,6 @@ q to its primitive part (rotation_of).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,10 +58,10 @@ from .lattice import (
     phi_plus_image,
     rows_preserve_gram,
 )
+from .value import Value, _set
 
 
-@dataclass(frozen=True)
-class CoincidenceRotation:
+class CoincidenceRotation(Value):
     """A coincidence rotation R(q) with its exact data.
 
     image_rows holds the integer L-coordinates of the images
@@ -73,12 +72,24 @@ class CoincidenceRotation:
     maps, and the extension fixes that sign canonically.
     """
 
-    q: Icosian
-    q_alpha: Icosian
-    alpha: OInt
-    sigma: int
-    den: int
-    image_rows: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    _fields = ("q", "q_alpha", "alpha", "sigma", "den")
+    __slots__ = _fields + ("image_rows",)
+
+    def __init__(
+        self,
+        q: Icosian,
+        q_alpha: Icosian,
+        alpha: OInt,
+        sigma: int,
+        den: int,
+        image_rows: tuple[tuple[int, ...], ...],
+    ):
+        _set(self, "q", q)
+        _set(self, "q_alpha", q_alpha)
+        _set(self, "alpha", alpha)
+        _set(self, "sigma", sigma)
+        _set(self, "den", den)
+        _set(self, "image_rows", image_rows)
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -258,18 +269,16 @@ def symmetry_related(r: Icosian, s: Icosian) -> bool:
     return same_right_ideal(r, s)
 
 
-@dataclass(frozen=True)
-class CslRecord:
+class CslRecord(Value):
     """A coincidence rotation together with its CSL."""
 
-    rotation: CoincidenceRotation
-    csl: SublatticeL
+    __slots__ = _fields = ("rotation", "csl")
 
-    def __post_init__(self):
-        if self.csl.index != self.rotation.sigma:
-            raise DomainError(
-                f"CSL index {self.csl.index} != sigma {self.rotation.sigma}"
-            )
+    def __init__(self, rotation: CoincidenceRotation, csl: SublatticeL):
+        if csl.index != rotation.sigma:
+            raise DomainError(f"CSL index {csl.index} != sigma {rotation.sigma}")
+        _set(self, "rotation", rotation)
+        _set(self, "csl", csl)
 
     def to_json(self) -> dict:
         return {

@@ -17,12 +17,12 @@ by the coincidence machinery).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .errors import DomainError, ParseError
+from .value import Value, _set
 
 
 def _sign_root5(p, q) -> int:
@@ -37,12 +37,22 @@ def _sign_root5(p, q) -> int:
     return sp if p * p - 5 * q * q > 0 else sq
 
 
-@dataclass(frozen=True, slots=True)
-class OInt:
+class OInt(Value):
     """An element a + b*tau of o = Z[tau]."""
 
-    a: int
-    b: int
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is OInt:
+            return self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     def __add__(self, other: "OInt") -> "OInt":
         return OInt(self.a + other.a, self.b + other.b)
@@ -145,18 +155,22 @@ def tau_pow(k: int) -> OInt:
     return TAU**k if k >= 0 else TAU_INV ** (-k)
 
 
-@dataclass(frozen=True, slots=True)
-class KNum:
+class KNum(Value):
     """An element a + b*tau of K = Q(sqrt5), coefficients reduced Fractions."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self):
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", Fraction(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction):
+        _set(self, "a", a if isinstance(a, Fraction) else Fraction(a))
+        _set(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+
+    def __eq__(self, other):
+        if other.__class__ is KNum:
+            return self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     @classmethod
     def of(cls, x) -> "KNum":
@@ -309,8 +323,7 @@ SPLIT = "split"
 INERT = "inert"
 
 
-@dataclass(frozen=True)
-class OFactorization:
+class OFactorization(Value):
     """Factorization x = unit * prod(prime**exponent) over o.
 
     factors holds (prime, exponent, splitting) triples with primes in
@@ -318,8 +331,11 @@ class OFactorization:
     or "inert" (p = +-2 mod 5).
     """
 
-    unit: OInt
-    factors: tuple[tuple[OInt, int, str], ...]
+    __slots__ = _fields = ("unit", "factors")
+
+    def __init__(self, unit: OInt, factors: tuple[tuple[OInt, int, str], ...]):
+        _set(self, "unit", unit)
+        _set(self, "factors", factors)
 
 
 def factor_int(n: int) -> list[tuple[int, int]]:

@@ -47,7 +47,6 @@ input.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -68,6 +67,7 @@ from .field import (
 from .hnf import hnf_square, contains as hnf_contains
 from .quaternion import Quat, _cleared
 from .shortvec import eval_form
+from .value import Value, _set
 
 # The quaternion components of 2 e_1..2 e_4 as (a, b) pairs for a + b tau:
 # the one literal every structure table below is derived from.
@@ -108,11 +108,21 @@ def _hamilton(x, y) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Icosian:
+class Icosian(Value):
     """An element of I by its integer coordinates over the fixed Z-basis."""
 
-    zc: tuple[int, int, int, int, int, int, int, int]
+    __slots__ = _fields = ("zc",)
+
+    def __init__(self, zc: tuple[int, int, int, int, int, int, int, int]):
+        _set(self, "zc", zc)
+
+    def __eq__(self, other):
+        if other.__class__ is Icosian:
+            return self.zc == other.zc
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.zc,))
 
     @classmethod
     def from_coords(cls, coords) -> "Icosian":
@@ -593,11 +603,13 @@ def same_right_ideal(r: Icosian, s: Icosian) -> bool:
     return r.nr().abs_norm() == m.abs_norm() and _left_divides(s, m, r)
 
 
-@dataclass(frozen=True, slots=True)
-class Rank8Module:
+class Rank8Module(Value):
     """A full rank-8 Z-submodule of I as a canonical 8x8 HNF."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        _set(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "Rank8Module":

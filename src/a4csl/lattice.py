@@ -12,7 +12,6 @@ off one echelon form under the same change of coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -35,6 +34,7 @@ from .icosian import (
 )
 from .quaternion import Quat, _cleared
 from .shortvec import gram_of_basis
+from .value import Value, _set
 
 # The quaternion components of 2 b_1..2 b_4 as (a, b) pairs for a + b tau:
 # b1 = 1, b2 = (-1 + i + j + k)/2, b3 = -i, b4 = (i + (tau - 1) j - tau k)/2.
@@ -87,11 +87,21 @@ def to_L_coords(x: Quat) -> tuple[Fraction, Fraction, Fraction, Fraction] | None
     return None if v is None else tuple(Fraction(c, d) for c in v)
 
 
-@dataclass(frozen=True, slots=True)
-class SublatticeL:
+class SublatticeL(Value):
     """A finite-index sublattice of L as a canonical 4x4 HNF in L-coordinates."""
 
-    hnf: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("hnf",)
+
+    def __init__(self, hnf: tuple[tuple[int, ...], ...]):
+        _set(self, "hnf", hnf)
+
+    def __eq__(self, other):
+        if other.__class__ is SublatticeL:
+            return self.hnf == other.hnf
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.hnf,))
 
     @classmethod
     def from_integer_rows(cls, rows) -> "SublatticeL":

@@ -10,11 +10,11 @@ components over one common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import ParseError
 from .field import KNum, format_knum, parse_knum
+from .value import Value, _set
 
 
 def _cleared(q: "Quat") -> tuple[int, list[tuple[int, int]]]:
@@ -27,14 +27,16 @@ def _cleared(q: "Quat") -> tuple[int, list[tuple[int, int]]]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class Quat:
+class Quat(Value):
     """A quaternion with components in Q(sqrt5)."""
 
-    a: KNum
-    b: KNum
-    c: KNum
-    d: KNum
+    __slots__ = _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: KNum, b: KNum, c: KNum, d: KNum):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     @classmethod
     def of(cls, a, b=0, c=0, d=0) -> "Quat":
