@@ -19,8 +19,10 @@ x -> q conj(x) twist(q) / den is L n R(q)L, the CSL of the rotation.
 equal_csl implements the arithmetic criterion for two rotations to share
 one CSL: equal balanced norms plus equality of the right ideals
 p I + (den/c) I, where c divides out one ramified prime when 5 | Sigma.
+Equal norms give both rotations one den/c and both ideals one index.
 When den/c lies in p I for both rotations, those ideals are p I and the
-comparison is one integer left division; otherwise two HNFs are compared.
+comparison is one integer left division; otherwise it is one HNF and a
+membership test.  Each reduced norm is read once.
 symmetry_related tests rI == sI by integer left division in I.
 
 Nothing here re-derives den, alpha or Sigma: the entry points take them
@@ -41,11 +43,11 @@ from .icosian import (
     Rank8Module,
     _balance,
     _combine,
+    _left_divides,
     _require_primitive,
     _sparse,
     _split,
     den,
-    left_divides,
     right_ideal,
     same_right_ideal,
 )
@@ -154,7 +156,7 @@ def rotation_of(q: Icosian) -> CoincidenceRotation:
     if q.is_zero():
         raise DomainError("zero defines no coincidence isometry")
     p = q.primitive_part()
-    d, alpha, sig = _balance(p)
+    d, alpha, sig = _balance(p, p.nr())
     q_alpha = p.scale_o(alpha)
     rows = tuple(_image_rows(q_alpha))
     if not rows_preserve_gram(rows, sig):
@@ -204,11 +206,11 @@ def csl_ideal_form(rot: CoincidenceRotation) -> SublatticeL:
     return lat
 
 
-def _criterion_beta(p: Icosian) -> OInt:
-    """den/c for p, which must be primitive and admissible (DomainError
-    otherwise); c = sqrt5 iff 5 | sigma."""
+def _criterion_beta(p: Icosian, m: OInt) -> OInt:
+    """den/c for p with m = nr(p), which must be primitive and admissible
+    (DomainError otherwise); c = sqrt5 iff 5 | sigma."""
     _require_primitive(p)
-    d, _alpha, sig = _balance(p)
+    d, _alpha, sig = _balance(p, m)
     if sig % 5:
         return OInt(d, 0)
     if d % 5:
@@ -219,28 +221,42 @@ def _criterion_beta(p: Icosian) -> OInt:
 def criterion_ideal(p: Icosian) -> Rank8Module:
     """The right ideal p I + (den/c) I used by the CSL equality criterion;
     c = sqrt5 when the coincidence index is divisible by 5, else c = 1."""
-    return right_ideal([p, Icosian.from_o(_criterion_beta(p))])
+    return right_ideal([p, Icosian.from_o(_criterion_beta(p, p.nr()))])
 
 
 def equal_csl(p1: Icosian, p2: Icosian) -> bool:
     """Criterion for R(p1) and R(p2) to generate the same CSL.
 
     True iff the balanced unit-normal forms of nr(p1), nr(p2) agree and the
-    criterion ideals p_i I + beta_i I coincide.  When each beta_i lies in
-    p_i I (integer left division), those ideals are p_i I and are compared
-    by left division as well; otherwise their HNFs are compared.  Pairs
-    where the two readings of the norm condition (literal equality vs
+    criterion ideals J_i = p_i I + beta_i I coincide.  Each norm is read
+    once.  When each beta_i lies in p_i I (integer left division), J_i =
+    p_i I and they are compared by left division as well; otherwise by one
+    HNF and a membership test: J_1 = J_2 iff p_1 lies in J_2.
+
+    Proof.  den = sqrt N(nr p) and sigma = N(nr p) / g, g the gcd of the
+    rational coefficients of nr p, depend only on the associate class of
+    nr p, and so does c; so equal unit-normal norms force beta_1 = beta_2 =
+    beta (AssertionError otherwise).  At a prime pi of o with pi^k || nr p_i,
+    p_i primitive, J_i has norm pi^min(k, v_pi(beta)) (the argument of
+    counting._class_csls), the same for i = 1, 2: J_1 and J_2 have one
+    index in I.  beta lies in J_2, so J_1 lies in J_2, and then equals it,
+    iff p_1 does.
+
+    Pairs where the two readings of the norm condition (literal equality vs
     equality up to units) would differ are logged at DEBUG level.
     """
-    b1 = Icosian.from_o(_criterion_beta(p1))
-    b2 = Icosian.from_o(_criterion_beta(p2))
     n1, n2 = p1.nr(), p2.nr()
+    b1 = _criterion_beta(p1, n1)
+    b2 = _criterion_beta(p2, n2)
     if unit_normalize(n1)[0] != unit_normalize(n2)[0]:
         return False
-    if left_divides(p1, b1) and left_divides(p2, b2):
+    if b1 != b2:
+        raise AssertionError(f"associate norms must give one beta, not {b1} and {b2}")
+    beta = Icosian.from_o(b1)
+    if _left_divides(p1, n1, beta) and _left_divides(p2, n2, beta):
         ideals_equal = same_right_ideal(p1, p2)
     else:
-        ideals_equal = right_ideal([p1, b1]).rows == right_ideal([p2, b2]).rows
+        ideals_equal = right_ideal([p2, beta]).contains(p1)
     if n1 != n2 and ideals_equal:
         import logging  # only here: importing it costs every start of the program
 

@@ -38,10 +38,11 @@ Validation and balancing live here once, as integer arithmetic on the
 coordinate vector: _require_primitive rejects zero and imprimitive input
 by the gcd of the 2x2 minors of the content ideal (_content_norm), and
 _balance turns a primitive q into its balanced data (den, alpha, sigma)
-from the two integer norm forms and one gcd, rejecting q unless it is
-admissible.  den, extension, sigma_index and the csl entry points all go
-through them.  content() keeps the Euclidean route in o for imprimitive
-input.
+from nr(q), which the caller reads once, and one gcd, rejecting q unless
+it is admissible.  den, extension, sigma_index and the csl entry points
+all go through them.  nr reads the two integer norm forms, halved, off
+one table of 32 terms x_i x_j (a_ij, b_ij).  content() keeps the
+Euclidean route in o for imprimitive input.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .field import (
 )
 from .hnf import hnf_square, contains as hnf_contains
 from .quaternion import Quat, _cleared
-from .shortvec import eval_form
 from .value import Value, _set
 
 # The quaternion components of 2 e_1..2 e_4 as (a, b) pairs for a + b tau:
@@ -185,8 +185,12 @@ class Icosian(Value):
         return self + self.twist()
 
     def nr(self) -> OInt:
-        z = self.zc
-        return OInt(eval_form(NORM_A_GRAM, z) // 2, eval_form(NORM_B_GRAM, z) // 2)
+        z, a, b = self.zc, 0, 0
+        for i, j, ta, tb in _NORM_TERMS:
+            x = z[i] * z[j]
+            a += ta * x
+            b += tb * x
+        return OInt(a, b)
 
     def tr_q(self) -> OInt:
         total = ZERO_O
@@ -369,6 +373,18 @@ _UNIT_GENERATORS = (ZB_ICO[2], ZB_ICO[3])
 _TRG8 = tuple(tuple(Icosian(_apply8(cj, row)).tr_q() for cj in _CJ8) for row in _MUL)
 NORM_A_GRAM = tuple(tuple(w.a for w in row) for row in _TRG8)
 NORM_B_GRAM = tuple(tuple(w.b for w in row) for row in _TRG8)
+# nr(x) = sum over i <= j of x_i x_j (a_ij, b_ij), the two forms halved: their
+# nonzero upper-triangle terms, the diagonal halved (it is even, as
+# tr(x conj(x)) = 2 nr(x)).  One product x_i x_j feeds both parts: 32 terms in
+# place of two dense 8x8 passes.
+if any(g[i][i] % 2 for g in (NORM_A_GRAM, NORM_B_GRAM) for i in range(8)):
+    raise AssertionError("the doubled norm forms must have an even diagonal")
+_NORM_TERMS = tuple(
+    (i, j, *(g[i][j] if i < j else g[i][i] // 2 for g in (NORM_A_GRAM, NORM_B_GRAM)))
+    for i in range(8)
+    for j in range(i, 8)
+    if NORM_A_GRAM[i][j] or NORM_B_GRAM[i][j]
+)
 
 # (Z^8, NORM_A_GRAM) is even unimodular of rank 8, i.e. E8.  Row i of _E8_T is
 # 2 zb_i in the standard coordinates of E8 = D8 u (D8 + 1/2), so that
@@ -414,10 +430,10 @@ def _require_primitive(q: Icosian) -> None:
         raise DomainError(f"{q} is not primitive")
 
 
-def _balance(p: Icosian) -> tuple[int, OInt, int]:
-    """(den, alpha, sigma) of a primitive icosian p: den = sqrt N(nr p),
-    sigma = lcm(nr p, nr p') and alpha = sqrt(sigma / nr p), so that
-    nr(alpha p) = sigma.  DomainError unless p is admissible.
+def _balance(p: Icosian, m: OInt) -> tuple[int, OInt, int]:
+    """(den, alpha, sigma) of a primitive icosian p, m = nr p: den = sqrt N(m),
+    sigma = lcm(m, m') and alpha = sqrt(sigma / m), so that nr(alpha p) =
+    sigma.  DomainError unless p is admissible.
 
     With m = nr p = A + B tau, N = N(m) and g = gcd(A, B): sigma = N / g and
     alpha = sqrt(m' / g).  N is a square, so sqrt5 divides m to an even
@@ -426,7 +442,6 @@ def _balance(p: Icosian) -> tuple[int, OInt, int]:
     whose coefficients are coprime.  Hence gcd(m, m') = g up to a unit,
     lcm(m, m') = N / g and sigma / m = m' / g.
     """
-    m = p.nr()
     n = m.abs_norm()
     d = isqrt(n)
     if d * d != n:
@@ -444,7 +459,7 @@ def _balance(p: Icosian) -> tuple[int, OInt, int]:
 def den(q: Icosian) -> int:
     """The denominator |q q~| of a primitive admissible icosian."""
     _require_primitive(q)
-    return _balance(q)[0]
+    return _balance(q, q.nr())[0]
 
 
 def extension(q: Icosian) -> tuple[Icosian, OInt]:
@@ -455,14 +470,14 @@ def extension(q: Icosian) -> tuple[Icosian, OInt]:
     rational integer.
     """
     _require_primitive(q)
-    alpha = _balance(q)[1]
+    alpha = _balance(q, q.nr())[1]
     return q.scale_o(alpha), alpha
 
 
 def sigma_index(q: Icosian) -> int:
     """The coincidence index lcm(nr q, nr q') of a primitive admissible q."""
     _require_primitive(q)
-    return _balance(q)[2]
+    return _balance(q, q.nr())[2]
 
 
 @lru_cache(maxsize=1)
@@ -627,15 +642,9 @@ def right_ideal(generators) -> Rank8Module:
     return Rank8Module.from_rows([row for g in gens for row in _left_rows(g.zc)])
 
 
-def left_divides(d: Icosian, x: Icosian) -> bool:
-    """d^-1 x in I, i.e. nr(d) divides every o-coordinate of conj(d) x."""
-    if d.is_zero():
-        raise DomainError("zero icosian divides nothing")
-    return _left_divides(d, d.nr(), x)
-
-
 def _left_divides(d: Icosian, m: OInt, x: Icosian) -> bool:
-    """left_divides(d, x) for m = nr(d)."""
+    """d^-1 x in I for a nonzero d with m = nr(d): N(m) divides every
+    coordinate of N(m) d^-1 x."""
     n = m.field_norm()
     return not any(v % n for v in _scaled_quotient(d, m, x))
 

@@ -1,5 +1,5 @@
-"""The enumeration budget, charged by counting.prime_class_reps, and two
-integer quadratic-form helpers.  The exact short-vector search lives in the
+"""The enumeration budget, charged by counting.prime_class_reps, and the
+Gram matrix of integer rows.  The exact short-vector search lives in the
 tests, as the oracle of the generator search."""
 
 from __future__ import annotations
@@ -21,22 +21,6 @@ class NodeBudget:
         self.used += 1
         if self.used > self.limit:
             raise BudgetError(f"enumeration exceeded {self.limit} units")
-
-
-def eval_form(gram, x) -> int:
-    """x^T G x for an integer symmetric matrix G."""
-    total = 0
-    n = len(x)
-    for i in range(n):
-        xi = x[i]
-        if not xi:
-            continue
-        row = gram[i]
-        total += row[i] * xi * xi
-        for j in range(i + 1, n):
-            if x[j]:
-                total += 2 * row[j] * xi * x[j]
-    return total
 
 
 def gram_of_basis(gram, rows):

@@ -47,7 +47,7 @@ from a4csl.counting import (
     norm_candidates,
     prime_class_reps,
 )
-from test_shortvec import TRACE_GRAM, enumerate_form, enumerate_two_forms
+from test_shortvec import TRACE_GRAM, enumerate_form, enumerate_two_forms, eval_form
 
 rng = random.Random(8128)
 
@@ -715,7 +715,6 @@ def test_enumeration_complete_vs_exhaustive_scan(reps_by_index):
     from math import isqrt
 
     from a4csl.icosian import NORM_A_GRAM, NORM_B_GRAM
-    from a4csl.shortvec import eval_form
 
     mats = unit_right_mul_matrices()
     slow = {n: set() for n in range(1, NMAX_ORACLE + 1)}

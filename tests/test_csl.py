@@ -480,3 +480,35 @@ def test_equal_csl_routes_match_the_hnf_oracles(monkeypatch):
     assert all(seen[how, answer] for how in ("hnf", "division") for answer in (True, False))
     assert seen["norm", False]
 
+
+
+def test_equal_csl_hnf_route_takes_one_hnf_and_reads_each_norm_once(monkeypatch):
+    """On the HNF route equal_csl reduces one generator matrix, that of
+    p_2 I + beta I, tests p_1 for membership, and reads nr(p1) and nr(p2)
+    once each: on the sigma = 5 witness (equal CSLs) and on R and u R for a
+    unit u (same norm, different CSLs)."""
+    calls = Counter()
+    nr_fn = Icosian.nr
+    monkeypatch.setattr("a4csl.hnf.hnf", lambda rows: calls.update(["hnf"]) or hnf(rows))
+    monkeypatch.setattr(Icosian, "nr", lambda self: calls.update(["nr"]) or nr_fn(self))
+    turned = Icosian((0, 2, -1, -2, -2, 1, 1, -3))
+    for p2, answer in ((S_ICO, True), (turned, False)):
+        calls.clear()
+        assert equal_csl(R_ICO, p2) == answer
+        assert calls == {"hnf": 1, "nr": 2}
+    monkeypatch.undo()
+    assert any(u * R_ICO == turned for u in unit_group())
+    assert csl_Lq(rotation_of(turned)).hnf != csl_Lq(rotation_of(R_ICO)).hnf
+    assert criterion_ideal(turned).rows != criterion_ideal(R_ICO).rows
+
+
+def test_equal_csl_refuses_two_betas_for_associate_norms(monkeypatch):
+    """Associate norms give both rotations one beta = den/c; a beta off by a
+    unit, forced through _criterion_beta, raises (an explicit raise, so it
+    holds under python -O)."""
+    beta = csl._criterion_beta
+    monkeypatch.setattr(
+        csl, "_criterion_beta", lambda p, m: beta(p, m) * TAU if p == S_ICO else beta(p, m)
+    )
+    with pytest.raises(AssertionError, match="one beta"):
+        equal_csl(R_ICO, S_ICO)

@@ -17,6 +17,7 @@ from a4csl.hnf import diagonal_product
 from a4csl.field import KNum, OInt, SQRT5, TAU, lcm_o, sqrt_o, tau_pow, unit_normalize
 from a4csl.icosian import (
     NORM_A_GRAM,
+    NORM_B_GRAM,
     Icosian,
     Rank8Module,
     ZB_ICO,
@@ -32,6 +33,7 @@ from a4csl.icosian import (
     _balance,
     _content_norm,
     _least_generator,
+    _left_divides,
     _left_rows,
     _nearest_icosian,
     _orbit,
@@ -39,7 +41,6 @@ from a4csl.icosian import (
     den,
     extension,
     glcd,
-    left_divides,
     right_ideal,
     same_right_ideal,
     sigma_index,
@@ -48,9 +49,9 @@ from a4csl.icosian import (
     unit_right_mul_matrices,
 )
 from a4csl.quaternion import Quat, parse_quat
-from a4csl.shortvec import eval_form, gram_of_basis
+from a4csl.shortvec import gram_of_basis
 from test_quaternion import add, conj, inverse, mul, nr, scale, tr, twist
-from test_shortvec import TRACE_GRAM, enumerate_form, gauss_jordan
+from test_shortvec import TRACE_GRAM, enumerate_form, eval_form, gauss_jordan
 
 rng = random.Random(31337)
 
@@ -71,6 +72,13 @@ ZBASIS_QUATS = BASIS + tuple(scale(b, KNum(0, 1)) for b in BASIS)
 
 def rand_icosian(span=3):
     return Icosian(tuple(rng.randint(-span, span) for _ in range(8)))
+
+
+def left_divides(d: Icosian, x: Icosian) -> bool:
+    """d^-1 x in I, i.e. nr(d) divides every o-coordinate of conj(d) x."""
+    if d.is_zero():
+        raise DomainError("zero icosian divides nothing")
+    return _left_divides(d, d.nr(), x)
 
 
 def test_membership_examples():
@@ -464,6 +472,20 @@ _COORD = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
 _ZC = st.tuples(*[_COORD] * 8)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ZC)
+def test_nr_matches_the_dense_forms_and_the_rational_norm(zc):
+    """nr reads 32 terms x_i x_j (a_ij, b_ij); its oracles are the two dense
+    forms x^T G x, each even and halved, and the rational nr of the
+    quaternion x."""
+    x = Icosian(zc)
+    a2, b2 = eval_form(NORM_A_GRAM, zc), eval_form(NORM_B_GRAM, zc)
+    assert a2 % 2 == b2 % 2 == 0
+    assert x.nr() == OInt(a2 // 2, b2 // 2)
+    assert x.nr().to_knum() == nr(x.quat())
+    assert len(icosian._NORM_TERMS) == 32
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_ZC, _ZC)
 def test_product_rows_match_per_basis_products(zc, xc):
@@ -671,9 +693,9 @@ def test_balance_matches_lcm_route(p):
         expected = _balance_by_lcm(p)
     except DomainError as exc:
         with pytest.raises(DomainError, match=re.escape(str(exc))):
-            _balance(p)
+            _balance(p, p.nr())
         return
-    assert _balance(p) == expected
+    assert _balance(p, p.nr()) == expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,7 +1,8 @@
 """The exact short-vector search, the oracle of the generator search, of
 the product enumerator, of glcd and of completeness; the enumeration
-budget, gram_of_basis, and the rational Gauss-Jordan of the integer
-changes of coordinates.
+budget, gram_of_basis, the dense form x^T G x (eval_form, the oracle of
+Icosian.nr), and the rational Gauss-Jordan of the integer changes of
+coordinates.
 
 One depth-first search walks the integer vectors x with F_i(x) = x^T G_i x
 equal to (or at most) a target for each of k symmetric positive definite
@@ -32,9 +33,26 @@ from a4csl.counting import prime_class_reps
 from a4csl.errors import BudgetError, DomainError
 from a4csl.field import OInt
 from a4csl.icosian import NORM_A_GRAM, NORM_B_GRAM, Icosian, right_ideal
-from a4csl.shortvec import NodeBudget, eval_form, gram_of_basis
+from a4csl.shortvec import NodeBudget, gram_of_basis
 
 rng = random.Random(4181)
+
+
+def eval_form(gram, x) -> int:
+    """x^T G x for an integer symmetric matrix G."""
+    total = 0
+    n = len(x)
+    for i in range(n):
+        xi = x[i]
+        if not xi:
+            continue
+        row = gram[i]
+        total += row[i] * xi * xi
+        for j in range(i + 1, n):
+            if x[j]:
+                total += 2 * row[j] * xi * x[j]
+    return total
+
 
 # x^T TRACE_GRAM x == 2 * Tr(nr(x)), Tr(a + b tau) = 2a + b: with NORM_A_GRAM
 # the two forms of the search for the icosians of a given reduced norm.
