@@ -481,7 +481,6 @@ def test_equal_csl_routes_match_the_hnf_oracles(monkeypatch):
     assert seen["norm", False]
 
 
-
 def test_equal_csl_hnf_route_takes_one_hnf_and_reads_each_norm_once(monkeypatch):
     """On the HNF route equal_csl reduces one generator matrix, that of
     p_2 I + beta I, tests p_1 for membership, and reads nr(p1) and nr(p2)
